@@ -340,9 +340,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("claimed infeasible, but the instance is feasible", file=sys.stderr)
         return EXIT_INFEASIBLE
 
+    if not isinstance(raw["clusters"], list) or not all(
+        isinstance(c, list) for c in raw["clusters"]
+    ):
+        raise MalformedInstanceError("clusters must be a list of lists of user indices")
     clusters = tuple(tuple(c) for c in raw["clusters"])
     facility_of = None
     if raw.get("facilities") is not None:
+        if not isinstance(raw["facilities"], list):
+            raise MalformedInstanceError("facilities must be a list of facility indices")
         facility_of = tuple(raw["facilities"])
     try:
         solution = Solution(
@@ -433,6 +439,8 @@ def bench_instance(
 
 def cmd_bench(args: argparse.Namespace) -> int:
     low, high = _parse_range(args.legs_range)
+    if args.trials < 1:
+        raise MalformedInstanceError(f"--trials must be at least 1, got {args.trials}")
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

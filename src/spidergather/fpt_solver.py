@@ -17,6 +17,15 @@ those; users beyond the cut can still appear in segments and suffix
 completions, and legs still participating after the sweep are finished by a
 final round of suffix completions.
 
+Closing a cluster picks a segment on an active leg just beyond the swept
+user. Only the balls that grew with the swept user are closed on its layer:
+every other open ball was closed on an earlier layer with the same segments.
+A grown ball ends at the swept user, so its close cost depends only on the
+leg and the segment size, and one table per layer holds the cheapest close
+for each ball size and leg. The sweep keeps only the previous and the
+current value layer; a witness run also keeps one predecessor table per
+layer, which reconstruction walks back.
+
 The stored state count is what the parameter buys: the table is keyed by
 subsets of legs times a polynomial number of (position, ball) combinations,
 and infeasible entries are never stored.
@@ -24,12 +33,11 @@ and infeasible entries are never stored.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .cost_oracle import FacilityIndex, best_facility, cost_clustering, cost_gathering
+from .cost_oracle import FacilityIndex, best_facility, cost_gathering
 from .line_suffix import SuffixRow, suffix_costs_clustering, suffix_costs_gathering
 from .model import (
     Cost,
@@ -42,8 +50,6 @@ from .model import (
     distance,
     normalize,
 )
-
-log = logging.getLogger(__name__)
 
 CLUSTERING = "clustering"
 GATHERING = "gathering"
@@ -113,12 +119,6 @@ class _Prep:
         members = self.leg_members[leg - 1]
         return self.suffix[leg - 1].values[len(members) - self.rank_in_leg[pos]]
 
-    def r_plus(self, pos: int) -> Cost:
-        """Cost of finishing pos's leg single-leg strictly after pos."""
-        leg = self.legs[pos]
-        members = self.leg_members[leg - 1]
-        return self.suffix[leg - 1].values[len(members) - self.rank_in_leg[pos] - 1]
-
 
 def _prepare(inst: SpiderInstance, kind: str) -> _Prep:
     if kind not in (CLUSTERING, GATHERING):
@@ -146,16 +146,8 @@ def _prepare(inst: SpiderInstance, kind: str) -> _Prep:
             suffix.append(
                 suffix_costs_gathering([xs[p] for p in members], leg0 + 1, fac_index, inst.r)
             )
-        cache: dict[tuple[int, int, int], Cost] = {}
         index = fac_index
-
-        def close_cost(u: int, v: int) -> Cost:
-            key = (legs[v], xs[v], xs[u])
-            val = cache.get(key)
-            if val is None:
-                val = cost_gathering(points[u], points[v], index)
-                cache[key] = val
-            return val
+        close_cost = lambda u, v: cost_gathering(points[u], points[v], index)
 
     return _Prep(
         inst=inst,
@@ -185,7 +177,11 @@ def run_dp(
 
     With use_pruning=False the sweep visits every user (useful as a
     self-check; the answer must not change). With want_solution=False only
-    the optimal value and stats are computed, which keeps memory flat.
+    the optimal value and stats are computed. Either way the sweep holds two
+    value layers at a time, the previous and the current, and counts each
+    layer's states once it is complete; the final layer is counted after the
+    tail completions. A witness run also keeps one predecessor table per
+    layer, so only it grows with the sweep. Both modes store the same states.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
@@ -207,20 +203,19 @@ def run_dp(
     bits_j = (2 * r).bit_length()
     shift_s = bits_k + bits_j
     mask_jk = (1 << shift_s) - 1
-    mask_k = (1 << bits_k) - 1
     full_s = (1 << d_users) - 1
     cap = 2 * r - 1
+    close_cost = prep.close_cost
 
-    init_key = full_s << shift_s
-    layers: list[dict[int, Cost]] = [{init_key: 0}]
+    prev: dict[int, Cost] = {full_s << shift_s: 0}
     preds: list[dict[int, tuple]] = [{}] if want_solution else []
+    states = 0
 
-    for i, u_pos in enumerate(sweep, start=1):
-        u_leg = prep.legs[u_pos]
-        u_bit = 1 << (u_leg - 1)
-        prev = layers[-1]
+    for u_pos in sweep:
+        u_bit = 1 << (prep.legs[u_pos] - 1)
         cur: dict[int, Cost] = {}
         prd: dict[int, tuple] = {}
+        grown: list[int] = []  # keys of the balls that u joined, each once
 
         r_minus_u = prep.r_minus(u_pos)
         for key, val in prev.items():
@@ -229,7 +224,10 @@ def run_dp(
                 j = (key & mask_jk) >> bits_k
                 if j < cap:  # grow the ball with u
                     nkey = (key & ~mask_jk) + ((j + 1) << bits_k) + (u_pos + 1)
-                    if nkey not in cur or val < cur[nkey]:
+                    old = cur.get(nkey)
+                    if old is None:
+                        grown.append(nkey)
+                    if old is None or val < old:
                         cur[nkey] = val
                         if want_solution:
                             prd[nkey] = ("b", key)
@@ -246,59 +244,60 @@ def run_dp(
                     if want_solution:
                         prd[key] = ("c", key)
 
-        # Close the open cluster: pick a segment of p users on a still-active
-        # leg just beyond the current position.
-        seg_options: list[list[tuple[int, int, Cost]]] = []
+        # Close the open cluster with a segment of p users on an active leg
+        # just beyond u. Only the balls that grew with u are closed. Any other
+        # open ball came through "c" or "d" from a ball that the previous
+        # layer closed with the same segments, and those closed states reach
+        # this layer through the same "c" or "d" step at no higher value. The
+        # segments are the same because no unswept user of an active leg lies
+        # between two sweep positions while a ball can still close: closable
+        # balls hold at most 2r-2 users and each close retires a leg, so the
+        # balls have taken at most (2r-2)d users, fewer than the (2r-1)d that
+        # prune sweeps on a cut leg.
+        #
+        # A grown ball ends at u, so its close cost depends only on the leg
+        # and p. best_close[j] lists, for a ball of j users, each leg that can
+        # take the segment with the cheapest max(close cost, leftover) over
+        # the admissible p, r-j <= p <= 2r-1-j, and the p that attains it.
+        best_close: list[list[tuple[int, Cost, int]]] = [[] for _ in range(cap + 1)]
         for leg0 in range(d_users):
             members = prep.leg_members[leg0]
+            values = prep.suffix[leg0].values
             start = bisect_right(members, u_pos)
-            opts: list[tuple[int, int, Cost]] = []
-            for p in range(1, cap):
-                mi = start + p - 1
-                if mi >= len(members):
-                    break
-                leftover = prep.suffix[leg0].values[len(members) - mi - 1]
-                if leftover != INFEASIBLE:
-                    opts.append((p, members[mi], leftover))
-            seg_options.append(opts)
+            costs: list[Cost] = []  # costs[p - 1]
+            for mi in range(start, min(start + cap - 1, len(members))):
+                cost = close_cost(u_pos, members[mi])
+                leftover = values[len(members) - mi - 1]
+                costs.append(cost if cost >= leftover else leftover)
+            for j in range(1, cap):
+                best, best_p = INFEASIBLE, 0
+                for p in range(max(r - j, 1), min(cap - j, len(costs)) + 1):
+                    if costs[p - 1] < best:
+                        best, best_p = costs[p - 1], p
+                if best_p:
+                    best_close[j].append((1 << leg0, best, best_p))
 
-        for key, val in list(cur.items()):
-            j = (key & mask_jk) >> bits_k
-            if j == 0:
-                continue
+        for key in grown:
+            val = cur[key]
             s = key >> shift_s
-            k_pos = (key & mask_k) - 1
-            p_lo = r - j if r > j else 1
-            p_hi = cap - j
-            m = s
-            while m:
-                l_bit = m & -m
-                m ^= l_bit
-                leg0 = l_bit.bit_length() - 1
-                for p, v_pos, leftover in seg_options[leg0]:
-                    if p < p_lo or p > p_hi:
-                        continue
-                    cost = prep.close_cost(k_pos, v_pos)
-                    if cost == INFEASIBLE:
-                        continue
-                    nv = val
-                    if cost > nv:
-                        nv = cost
-                    if leftover > nv:
-                        nv = leftover
+            for l_bit, c, p in best_close[(key & mask_jk) >> bits_k]:
+                if s & l_bit:
+                    nv = val if val >= c else c
                     nkey = (s ^ l_bit) << shift_s
-                    if nkey not in cur or nv < cur[nkey]:
+                    old = cur.get(nkey)
+                    if old is None or nv < old:
                         cur[nkey] = nv
                         if want_solution:
-                            prd[nkey] = ("x", key, leg0 + 1, p)
+                            prd[nkey] = ("x", key, l_bit.bit_length(), p)
 
-        layers.append(cur)
+        states += len(prev)
+        prev = cur
         if want_solution:
             preds.append(prd)
 
     # Legs still active consumed all their swept users in balls; finish their
     # unswept tails single-leg.
-    final = layers[-1]
+    final = prev
     fprd = preds[-1] if want_solution else None
     levels: dict[int, list[int]] = {}
     for key in final:
@@ -324,10 +323,11 @@ def run_dp(
                     final[nkey] = nv
                     if fprd is not None:
                         fprd[nkey] = ("t", key, l_bit.bit_length())
+    states += len(final)
 
     stats = SolveStats(
-        states=sum(len(layer) for layer in layers),
-        layers=len(layers),
+        states=states,
+        layers=len(sweep) + 1,
         swept_users=len(sweep),
         legs=d_users,
     )
@@ -335,7 +335,7 @@ def run_dp(
     if value == INFEASIBLE or not want_solution:
         return DpRun(value, None, stats)
 
-    solution = _reconstruct(prep, norm, sweep, swept_per_leg, layers, preds, value)
+    solution = _reconstruct(prep, norm, sweep, swept_per_leg, preds, value)
     return DpRun(value, solution, stats)
 
 
@@ -356,13 +356,12 @@ def _reconstruct(
     norm: Normalized,
     sweep: tuple[int, ...],
     swept_per_leg: list[int],
-    layers: list[dict[int, Cost]],
     preds: list[dict[int, tuple]],
     value: Cost,
 ) -> Solution:
     # Walk the predecessor records back to the initial state...
     records: list[tuple[int, tuple]] = []
-    layer = len(layers) - 1
+    layer = len(preds) - 1
     key = 0
     init_key = ((1 << prep.d_users) - 1) << ((prep.n + 1).bit_length() + (2 * prep.r).bit_length())
     while not (layer == 0 and key == init_key):

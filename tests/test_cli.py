@@ -100,6 +100,19 @@ def test_check_rejects_small_cluster(clustering_file, tmp_path, capsys):
     assert "SizeViolation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "solution",
+    [
+        {"value": 2, "clusters": [1, 2]},
+        {"value": 2, "clusters": [[0, 1], [2, 3]], "facilities": 5},
+    ],
+)
+def test_check_malformed_solution_exits_two(clustering_file, tmp_path, capsys, solution):
+    sol = _write(tmp_path / "malformed.json", solution)
+    assert main(["check", clustering_file, sol]) == 2
+    assert "must be a list" in capsys.readouterr().err
+
+
 def test_check_confirms_infeasible_claim(tmp_path, capsys):
     inst = _write(
         tmp_path / "short.json",
@@ -237,3 +250,8 @@ def test_bench_writes_file(tmp_path):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "d,n,r,mean_ms,states"
     assert len(lines) == 3
+
+
+def test_bench_rejects_zero_trials(capsys):
+    assert main(["bench", "--legs-range", "2:2", "--trials", "0"]) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from spidergather import (
     validate_clustering,
     validate_gathering,
 )
+from spidergather.cli import bench_instance
 from spidergather.fpt_solver import prune, run_dp
 from spidergather.model import normalize
 from conftest import spider_instances
@@ -174,7 +175,30 @@ def test_value_only_mode_agrees_and_skips_the_witness(inst):
     fast = run_dp(inst, CLUSTERING, want_solution=False)
     full = run_dp(inst, CLUSTERING, want_solution=True)
     assert fast.value == full.value
+    assert fast.stats == full.stats
     assert fast.solution is None
+
+
+@given(spider_instances(max_legs=3, max_users=8, max_x=60, with_facilities=True))
+def test_value_only_gathering_agrees_and_skips_the_witness(inst):
+    fast = run_dp(inst, GATHERING, want_solution=False)
+    full = run_dp(inst, GATHERING, want_solution=True)
+    assert fast.value == full.value
+    assert fast.stats == full.stats
+    assert fast.solution is None
+
+
+# Stored states of the sweep on the bench workload, pinned so that a change to
+# the closing step or to the layer bookkeeping cannot add or drop states.
+@pytest.mark.parametrize(
+    "d, users_per_leg, r, states",
+    [(8, 1, 2, 708), (10, 1, 2, 3147), (12, 1, 2, 13801), (4, 10, 3, 4324), (6, 10, 3, 15813)],
+)
+@pytest.mark.parametrize("want_solution", [False, True])
+def test_bench_state_counts_are_pinned(d, users_per_leg, r, states, want_solution):
+    inst = bench_instance(0, d, users_per_leg=users_per_leg, r=r, coord_bound=100)
+    run = run_dp(inst, CLUSTERING, want_solution=want_solution)
+    assert run.stats.states == states
 
 
 def test_stats_report_sweep_sizes():
