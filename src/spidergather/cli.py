@@ -274,11 +274,18 @@ def gen_sat(rng: random.Random, *, num_vars: int, num_clauses: int) -> CnfFormul
 # Commands.
 
 
+def _problem_kind(args: argparse.Namespace, instance: SpiderInstance) -> str:
+    """The --problem choice; gathering needs the instance's facilities list."""
+    if args.problem == "clustering":
+        return CLUSTERING
+    if instance.facilities is None:
+        raise MalformedInstanceError("gathering needs a facilities list")
+    return GATHERING
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = spider_from_json(_load(args.instance))
-    kind = CLUSTERING if args.problem == "clustering" else GATHERING
-    if kind == GATHERING and instance.facilities is None:
-        raise MalformedInstanceError("gathering needs a facilities list")
+    kind = _problem_kind(args, instance)
     if args.oracle:
         guard = _env_int("SPIDERGATHER_PARTITION_GUARD", DEFAULT_PARTITION_GUARD)
         if kind == CLUSTERING:
@@ -328,13 +335,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     instance = spider_from_json(_load(args.instance))
+    kind = _problem_kind(args, instance)
     raw = _load(args.solution)
     if not isinstance(raw, dict) or "value" not in raw or "clusters" not in raw:
         raise MalformedInstanceError("solution must have value and clusters")
 
     if raw["value"] == "infeasible":
-        kind = GATHERING if instance.facilities is not None else CLUSTERING
-        if run_dp(instance, kind, want_solution=False).value is INFEASIBLE:
+        if run_dp(instance, kind, want_solution=False).value == INFEASIBLE:
             print("infeasible")
             return EXIT_OK
         print("claimed infeasible, but the instance is feasible", file=sys.stderr)
@@ -350,11 +357,17 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not isinstance(raw["facilities"], list):
             raise MalformedInstanceError("facilities must be a list of facility indices")
         facility_of = tuple(raw["facilities"])
+    if kind == GATHERING and facility_of is None:
+        raise MalformedInstanceError("a gathering solution needs a facilities list")
+    if kind == CLUSTERING and facility_of is not None:
+        raise MalformedInstanceError(
+            "a clustering solution has no facilities list; use --problem gathering"
+        )
     try:
         solution = Solution(
             clusters=clusters, value=raw["value"], facility_of=facility_of
         )
-        if facility_of is not None:
+        if kind == GATHERING:
             value = validate_gathering(instance, solution)
         else:
             value = validate_clustering(instance, solution)
@@ -502,6 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="validate a solution file")
     p_check.add_argument("instance")
     p_check.add_argument("solution")
+    p_check.add_argument(
+        "--problem", choices=("clustering", "gathering"), default="clustering"
+    )
     p_check.set_defaults(func=cmd_check)
 
     p_ca = sub.add_parser("check-arrears", help="test a payment choice vector")

@@ -14,8 +14,11 @@ user. An optimal solution only ever needs ball users among the first
 min(n_l, (2r-1) d) users of each leg (there are at most d multi-leg
 clusters, each with fewer than 2r ball users), so the sweep visits just
 those; users beyond the cut can still appear in segments and suffix
-completions, and legs still participating after the sweep are finished by a
-final round of suffix completions.
+completions. A leg still participating after the sweep finishes its unswept
+tail single-leg, and retiring it only takes the max with that tail's cost.
+So the optimum is one pass over the closed states (S, 0, 0) of the final
+layer: the least max(value, largest tail of a leg in S). Nothing is stored
+for the tail step.
 
 Closing a cluster picks a segment on an active leg just beyond the swept
 user. Only the balls that grew with the swept user are closed on its layer:
@@ -62,7 +65,6 @@ class SolveStats:
     """Size measurements of one DP run."""
 
     states: int  # value-table entries stored, all layers, infeasible never stored
-    layers: int
     swept_users: int
     legs: int
 
@@ -179,15 +181,17 @@ def run_dp(
     self-check; the answer must not change). With want_solution=False only
     the optimal value and stats are computed. Either way the sweep holds two
     value layers at a time, the previous and the current, and counts each
-    layer's states once it is complete; the final layer is counted after the
-    tail completions. A witness run also keeps one predecessor table per
-    layer, so only it grows with the sweep. Both modes store the same states.
+    layer's states once it is complete. The tail step reads the closed states
+    of the final layer once and stores nothing; a witness run keeps the leg
+    set S of the best one and reconstructs from it. A witness run also keeps
+    one predecessor table per layer, so only it grows with the sweep. Both
+    modes store the same states.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
     n, r, d_users = prep.n, prep.r, prep.d_users
     if n == 0:
-        return DpRun(INFEASIBLE, None, SolveStats(0, 0, 0, 0))
+        return DpRun(INFEASIBLE, None, SolveStats(0, 0, 0))
 
     sweep = prune(norm.instance) if use_pruning else tuple(range(n))
     swept_per_leg = [0] * d_users
@@ -264,6 +268,8 @@ def run_dp(
             members = prep.leg_members[leg0]
             values = prep.suffix[leg0].values
             start = bisect_right(members, u_pos)
+            if start == len(members):
+                continue  # no user beyond u on this leg to close with
             costs: list[Cost] = []  # costs[p - 1]
             for mi in range(start, min(start + cap - 1, len(members))):
                 cost = close_cost(u_pos, members[mi])
@@ -295,47 +301,29 @@ def run_dp(
         if want_solution:
             preds.append(prd)
 
-    # Legs still active consumed all their swept users in balls; finish their
-    # unswept tails single-leg.
-    final = prev
-    fprd = preds[-1] if want_solution else None
-    levels: dict[int, list[int]] = {}
-    for key in final:
+    # Each leg still active after the sweep has put all its swept users in
+    # balls and finishes its unswept tail single-leg, so a closed final state
+    # (S, 0, 0) costs the larger of its value and the largest tail in S.
+    # Legs are tried from the largest tail down; a tail of 0 never counts.
+    by_tail = sorted(((t, 1 << leg0) for leg0, t in enumerate(tails) if t > 0), reverse=True)
+    value, best_s = INFEASIBLE, 0
+    for key, val in prev.items():
         if key & mask_jk == 0:
-            levels.setdefault((key >> shift_s).bit_count(), []).append(key)
-    for count in range(d_users, 0, -1):
-        for key in levels.get(count, []):
-            val = final[key]
             s = key >> shift_s
-            m = s
-            while m:
-                l_bit = m & -m
-                m ^= l_bit
-                tail = tails[l_bit.bit_length() - 1]
-                if tail == INFEASIBLE:
-                    continue
-                nv = val if val >= tail else tail
-                nkey = (s ^ l_bit) << shift_s
-                old = final.get(nkey)
-                if old is None or nv < old:
-                    if old is None:
-                        levels.setdefault(count - 1, []).append(nkey)
-                    final[nkey] = nv
-                    if fprd is not None:
-                        fprd[nkey] = ("t", key, l_bit.bit_length())
-    states += len(final)
+            for tail, l_bit in by_tail:
+                if s & l_bit:
+                    if tail > val:
+                        val = tail
+                    break
+            if val < value:
+                value, best_s = val, s
+    states += len(prev)
 
-    stats = SolveStats(
-        states=states,
-        layers=len(sweep) + 1,
-        swept_users=len(sweep),
-        legs=d_users,
-    )
-    value = final.get(0, INFEASIBLE)
+    stats = SolveStats(states=states, swept_users=len(sweep), legs=d_users)
     if value == INFEASIBLE or not want_solution:
         return DpRun(value, None, stats)
 
-    solution = _reconstruct(prep, norm, sweep, swept_per_leg, preds, value)
+    solution = _reconstruct(prep, norm, sweep, swept_per_leg, preds, best_s, value)
     return DpRun(value, solution, stats)
 
 
@@ -357,18 +345,21 @@ def _reconstruct(
     sweep: tuple[int, ...],
     swept_per_leg: list[int],
     preds: list[dict[int, tuple]],
+    final_s: int,
     value: Cost,
 ) -> Solution:
-    # Walk the predecessor records back to the initial state...
+    # Walk the predecessor records back from the closed final state with leg
+    # set final_s to the initial state...
+    shift_s = (prep.n + 1).bit_length() + (2 * prep.r).bit_length()
     records: list[tuple[int, tuple]] = []
     layer = len(preds) - 1
-    key = 0
-    init_key = ((1 << prep.d_users) - 1) << ((prep.n + 1).bit_length() + (2 * prep.r).bit_length())
+    key = final_s << shift_s
+    init_key = ((1 << prep.d_users) - 1) << shift_s
     while not (layer == 0 and key == init_key):
         rec = preds[layer][key]
         records.append((layer, rec))
         key = rec[1]
-        if rec[0] in ("b", "d", "c"):
+        if rec[0] != "x":
             layer -= 1
     records.reverse()
 
@@ -384,17 +375,18 @@ def _reconstruct(
         elif tag == "d":
             pos = sweep[layer - 1]
             _emit_suffix(prep, prep.legs[pos], prep.rank_in_leg[pos], clusters)
-        elif tag == "x":
+        else:  # "x"
             leg, p = rec[2], rec[3]
             members = prep.leg_members[leg - 1]
             start = bisect_right(members, sweep[layer - 1])
             clusters.append(ball + members[start : start + p])
             ball = []
             _emit_suffix(prep, leg, start + p, clusters)
-        else:  # "t"
-            leg = rec[2]
-            _emit_suffix(prep, leg, swept_per_leg[leg - 1], clusters)
     assert not ball, "open ball left after replay"
+    # ...and finish the unswept tails of the legs still active at the end.
+    for leg0 in range(prep.d_users):
+        if final_s >> leg0 & 1:
+            _emit_suffix(prep, leg0 + 1, swept_per_leg[leg0], clusters)
 
     facility_of: Optional[list[int]] = None
     check = 0

@@ -131,15 +131,14 @@ class Normalized:
     user-bearing legs come first and facility-only legs after, each group in
     ascending original order. Facilities are sorted by (x, normalized leg,
     original position). user_order[i] / facility_order[i] give the original
-    index of the normalized item i; user_rank / facility_rank invert those
-    maps; leg_map sends original leg numbers to normalized ones.
+    index of the normalized item i; user_rank inverts user_order; leg_map
+    sends original leg numbers to normalized ones.
     """
 
     instance: SpiderInstance
     user_order: tuple[int, ...]
     user_rank: tuple[int, ...]
     facility_order: tuple[int, ...]
-    facility_rank: tuple[int, ...]
     leg_map: dict[int, int]
 
 
@@ -179,9 +178,6 @@ def normalize(instance: SpiderInstance) -> Normalized:
     user_rank = [0] * len(order)
     for pos, i in enumerate(order):
         user_rank[i] = pos
-    facility_rank = [0] * len(facility_order)
-    for pos, i in enumerate(facility_order):
-        facility_rank[i] = pos
 
     norm = SpiderInstance(d=len(leg_map), users=users, facilities=facilities, r=instance.r)
     return Normalized(
@@ -189,7 +185,6 @@ def normalize(instance: SpiderInstance) -> Normalized:
         user_order=tuple(order),
         user_rank=tuple(user_rank),
         facility_order=facility_order,
-        facility_rank=tuple(facility_rank),
         leg_map=leg_map,
     )
 

@@ -30,6 +30,24 @@ def clustering_file(tmp_path):
 
 
 @pytest.fixture
+def gathering_file(tmp_path):
+    return _write(
+        tmp_path / "gather.json",
+        {
+            "r": 2,
+            "legs": 2,
+            "users": [
+                {"leg": 1, "x": 2},
+                {"leg": 1, "x": 4},
+                {"leg": 2, "x": 2},
+                {"leg": 2, "x": 4},
+            ],
+            "facilities": [{"leg": 1, "x": 3}, {"leg": 2, "x": 3}],
+        },
+    )
+
+
+@pytest.fixture
 def arrears_file(tmp_path):
     return _write(
         tmp_path / "arrears.json",
@@ -120,6 +138,46 @@ def test_check_confirms_infeasible_claim(tmp_path, capsys):
     )
     sol = _write(tmp_path / "sol.json", {"value": "infeasible", "clusters": []})
     assert main(["check", inst, sol]) == 0
+
+
+def test_check_takes_the_problem_from_the_flag(tmp_path, capsys):
+    # Clustering value 2, but no facility to gather at: the verdict on an
+    # "infeasible" claim follows --problem, not the facilities key.
+    inst = _write(
+        tmp_path / "nofac.json",
+        {
+            "r": 2,
+            "legs": 2,
+            "users": [{"leg": 1, "x": 1}, {"leg": 2, "x": 1}],
+            "facilities": [],
+        },
+    )
+    sol = _write(tmp_path / "sol.json", {"value": "infeasible", "clusters": []})
+    assert main(["check", inst, sol]) == 1
+    assert main(["check", inst, sol, "--problem", "gathering"]) == 0
+
+
+def test_check_gathering_round_trip(gathering_file, tmp_path, capsys):
+    main(["solve", gathering_file, "--problem", "gathering"])
+    sol = tmp_path / "sol.json"
+    sol.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["check", gathering_file, str(sol), "--problem", "gathering"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "problem, solution",
+    [
+        ("gathering", {"value": 3, "clusters": [[0, 1], [2, 3]]}),
+        ("clustering", {"value": 1, "clusters": [[0, 1], [2, 3]], "facilities": [0, 1]}),
+    ],
+)
+def test_check_solution_of_the_other_problem_exits_two(
+    gathering_file, tmp_path, capsys, problem, solution
+):
+    sol = _write(tmp_path / "other.json", solution)
+    assert main(["check", gathering_file, sol, "--problem", problem]) == 2
+    assert "facilities list" in capsys.readouterr().err
 
 
 def test_check_arrears_verdicts(arrears_file, capsys):

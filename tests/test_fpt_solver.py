@@ -189,16 +189,59 @@ def test_value_only_gathering_agrees_and_skips_the_witness(inst):
 
 
 # Stored states of the sweep on the bench workload, pinned so that a change to
-# the closing step or to the layer bookkeeping cannot add or drop states.
+# the closing step or to the layer bookkeeping cannot add or drop states. The
+# tail step reads the final layer once and stores no entries of its own.
 @pytest.mark.parametrize(
     "d, users_per_leg, r, states",
-    [(8, 1, 2, 708), (10, 1, 2, 3147), (12, 1, 2, 13801), (4, 10, 3, 4324), (6, 10, 3, 15813)],
+    [(8, 1, 2, 628), (10, 1, 2, 2832), (12, 1, 2, 12491), (4, 10, 3, 4324), (6, 10, 3, 15813)],
 )
 @pytest.mark.parametrize("want_solution", [False, True])
 def test_bench_state_counts_are_pinned(d, users_per_leg, r, states, want_solution):
     inst = bench_instance(0, d, users_per_leg=users_per_leg, r=r, coord_bound=100)
     run = run_dp(inst, CLUSTERING, want_solution=want_solution)
     assert run.stats.states == states
+
+
+def _spider(legs_and_coords, r, facilities=None):
+    users = tuple(PointOnSpider(leg, x) for leg, x in legs_and_coords)
+    d = max(leg for leg, _ in (*legs_and_coords, *(facilities or ())))
+    fac = None if facilities is None else tuple(PointOnSpider(leg, x) for leg, x in facilities)
+    return SpiderInstance(d=d, users=users, facilities=fac, r=r)
+
+
+# Instances for the tail step, the pass over the closed states of the final
+# layer. With one user per leg and r = 2 no leg can be finished single-leg, so
+# every leg either gives a cluster its segment or stays active to the end with
+# its users in a ball: four or five users make at most two clusters, and two
+# or more legs are still active when the sweep ends. A leg with 1..r-1 users
+# past prune's cut has an INFEASIBLE tail and must not be among them.
+@pytest.mark.parametrize(
+    "kind, inst",
+    [
+        # (a) several legs active at the end of the sweep
+        (CLUSTERING, _spider(((1, 1), (2, 2), (3, 3), (4, 4)), r=2)),
+        (CLUSTERING, _spider(((1, 1), (2, 2), (3, 3), (4, 5), (5, 9)), r=2)),
+        # (b) an INFEASIBLE unswept tail: one user past the cut of 3 on a
+        # line and of 6 on a spider of two legs, two past the cut of 5 at r = 3
+        (CLUSTERING, _line([1, 2, 3, 10], r=2)),
+        (CLUSTERING, _spider(((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 20), (2, 1)), r=2)),
+        (CLUSTERING, _line([0, 1, 2, 4, 7, 20, 21], r=3)),
+        # (c) gathering with several legs active at the end
+        (GATHERING, _spider(((1, 2), (2, 3), (3, 4), (4, 6)), r=2, facilities=((1, 1), (3, 2)))),
+        (GATHERING, _spider(((1, 1), (2, 2), (3, 2), (4, 5), (5, 7)), r=2, facilities=((2, 1), (5, 3)))),
+    ],
+)
+@pytest.mark.parametrize("want_solution", [False, True])
+def test_tail_step_matches_the_oracles(kind, inst, want_solution):
+    if kind == CLUSTERING:
+        want, validate = brute_clustering(inst), validate_clustering
+    else:
+        want, validate = brute_gathering(inst), validate_gathering
+    assert want is not None
+    run = run_dp(inst, kind, want_solution=want_solution)
+    assert run.value == want.value == enumerate_suffix_special(inst, kind)
+    if want_solution:
+        assert validate(inst, run.solution) == run.value
 
 
 def test_stats_report_sweep_sizes():
