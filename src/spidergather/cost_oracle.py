@@ -6,10 +6,11 @@ part, with x(u) <= x(v). Everything else in the cluster sits at coordinate
 <= x(u) (ball) or on v's leg between the close point and v (segment), so a
 cost that depends on u and v alone is enough:
 
-  clustering: x(u) + x(v), the diameter realized by u and v themselves
-      whenever they sit on different legs. The formula is applied even when
-      they share a leg; there it overestimates, which is safe because the
-      same cluster is also reachable through a close whose estimate is exact.
+  clustering: x(u) + x(v), which fpt_solver computes inline: the diameter
+      realized by u and v themselves whenever they sit on different legs.
+      The formula is applied even when they share a leg; there it
+      overestimates, which is safe because the same cluster is also
+      reachable through a close whose estimate is exact.
 
   gathering: the best facility is either off v's leg (then the smallest such
       facility coordinate wins and the cluster radius is that coordinate plus
@@ -78,11 +79,6 @@ class FacilityIndex:
         if pos < len(coords):
             out.append(self.by_leg[leg][pos])
         return out
-
-
-def cost_clustering(u: PointOnSpider, v: PointOnSpider) -> int:
-    """Closing cost of a cluster whose last ball user is u, last segment user v."""
-    return u.x + v.x
 
 
 def cost_gathering(u: PointOnSpider, v: PointOnSpider, index: FacilityIndex) -> Cost:

@@ -8,30 +8,28 @@ center, collected one by one during the sweep, at most 2r-1 of them) and a
 one step when the cluster closes). Once a leg stops participating, its
 remaining users are finished off by the single-leg suffix solver.
 
-The DP state after the i-th swept user is (S, j, k): S the set of legs still
-participating, j the size of the open ball, k the index of the last ball
-user. An optimal solution only ever needs ball users among the first
-min(n_l, (2r-1) d) users of each leg (there are at most d multi-leg
-clusters, each with fewer than 2r ball users), so the sweep visits just
-those; users beyond the cut can still appear in segments and suffix
-completions. A leg still participating after the sweep finishes its unswept
-tail single-leg, and retiring it only takes the max with that tail's cost.
-So the optimum is one pass over the closed states (S, 0, 0) of the final
-layer: the least max(value, largest tail of a leg in S). Nothing is stored
-for the tail step.
+The DP state after the i-th swept user is (S, j): S the set of legs still
+participating, j the size of the open ball. An optimal solution only ever
+needs ball users among the first min(n_l, (2r-1) d) users of each leg (there
+are at most d multi-leg clusters, each with fewer than 2r ball users), so the
+sweep visits just those; users beyond the cut can still appear in segments
+and suffix completions. A leg still participating after the sweep has put
+every swept user in a ball, which leaves it no unswept user, so the optimum
+is the least value among the closed states (S, 0) of the final layer.
 
 Closing a cluster picks a segment on an active leg just beyond the swept
 user. Only the balls that grew with the swept user are closed on its layer:
 every other open ball was closed on an earlier layer with the same segments.
 A grown ball ends at the swept user, so its close cost depends only on the
 leg and the segment size, and one table per layer holds the cheapest close
-for each ball size and leg. The sweep keeps only the previous and the
-current value layer; a witness run also keeps one predecessor table per
-layer, which reconstruction walks back.
+for each ball size and leg. Nothing else reads which user the ball took
+last, so the state does not record it. The sweep keeps only the previous
+and the current value layer; a witness run also keeps one predecessor table
+per layer, which reconstruction walks back.
 
-The stored state count is what the parameter buys: the table is keyed by
-subsets of legs times a polynomial number of (position, ball) combinations,
-and infeasible entries are never stored.
+The stored state count is what the parameter buys: each layer is keyed by
+subsets of legs times the 2r ball sizes, and infeasible entries are never
+stored.
 """
 
 from __future__ import annotations
@@ -52,6 +50,8 @@ from .model import (
     SpiderInstance,
     distance,
     normalize,
+    validate_clustering,
+    validate_gathering,
 )
 
 CLUSTERING = "clustering"
@@ -177,15 +177,17 @@ def run_dp(
 ) -> DpRun:
     """Run the DP on any instance; see solve for the common entry point.
 
-    With use_pruning=False the sweep visits every user (useful as a
-    self-check; the answer must not change). With want_solution=False only
-    the optimal value and stats are computed. Either way the sweep holds two
-    value layers at a time, the previous and the current, and counts each
-    layer's states once it is complete. The tail step reads the closed states
-    of the final layer once and stores nothing; a witness run keeps the leg
-    set S of the best one and reconstructs from it. A witness run also keeps
-    one predecessor table per layer, so only it grows with the sweep. Both
-    modes store the same states.
+    Each layer maps a state (S, j), packed as S << shift_s | j, to the least
+    max cluster cost of any way to reach it. With use_pruning=False the sweep
+    visits every user (useful as a self-check; the answer must not change).
+    With want_solution=False only the optimal value and stats are computed.
+    Either way the sweep holds two value layers at a time, the previous and
+    the current, and counts each layer's states once it is complete. The
+    optimum is the least value among the closed states (S, 0) of the final
+    layer; a witness run keeps the leg set S of the best one and walks back
+    from it through the one predecessor table per layer that it also keeps,
+    so only a witness run grows with the sweep. Both modes store the same
+    states.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
@@ -194,19 +196,8 @@ def run_dp(
         return DpRun(INFEASIBLE, None, SolveStats(0, 0, 0))
 
     sweep = prune(norm.instance) if use_pruning else tuple(range(n))
-    swept_per_leg = [0] * d_users
-    for pos in sweep:
-        swept_per_leg[prep.legs[pos] - 1] += 1
-    # Cost of finishing each leg's unswept tail single-leg.
-    tails: list[Cost] = [
-        prep.suffix[leg0].values[len(prep.leg_members[leg0]) - swept_per_leg[leg0]]
-        for leg0 in range(d_users)
-    ]
-
-    bits_k = (n + 1).bit_length()
-    bits_j = (2 * r).bit_length()
-    shift_s = bits_k + bits_j
-    mask_jk = (1 << shift_s) - 1
+    shift_s = (2 * r).bit_length()
+    mask_j = (1 << shift_s) - 1
     full_s = (1 << d_users) - 1
     cap = 2 * r - 1
     close_cost = prep.close_cost
@@ -223,18 +214,15 @@ def run_dp(
 
         r_minus_u = prep.r_minus(u_pos)
         for key, val in prev.items():
-            s = key >> shift_s
-            if s & u_bit:
-                j = (key & mask_jk) >> bits_k
-                if j < cap:  # grow the ball with u
-                    nkey = (key & ~mask_jk) + ((j + 1) << bits_k) + (u_pos + 1)
-                    old = cur.get(nkey)
-                    if old is None:
-                        grown.append(nkey)
-                    if old is None or val < old:
-                        cur[nkey] = val
-                        if want_solution:
-                            prd[nkey] = ("b", key)
+            if key >> shift_s & u_bit:
+                if key & mask_j < cap:  # grow the ball with u
+                    # (S, j) is the only state that grows into (S, j + 1), and
+                    # "c" and "d" keys lack u's leg, so the key is new.
+                    nkey = key + 1
+                    cur[nkey] = val
+                    grown.append(nkey)
+                    if want_solution:
+                        prd[nkey] = ("b", key)
                 if r_minus_u != INFEASIBLE:  # retire u's leg, finish it single-leg
                     nv = val if val >= r_minus_u else r_minus_u
                     nkey = key - (u_bit << shift_s)
@@ -259,8 +247,13 @@ def run_dp(
         # balls have taken at most (2r-2)d users, fewer than the (2r-1)d that
         # prune sweeps on a cut leg.
         #
-        # A grown ball ends at u, so its close cost depends only on the leg
-        # and p. best_close[j] lists, for a ball of j users, each leg that can
+        # So a ball is closed only on the layer of its last user, and its
+        # close cost depends only on the leg and p. Nothing else reads which
+        # user an open ball took last: "b" replaces it with u, and the final
+        # layer wants closed states. Two open balls with the same (S, j) have
+        # the same future, so the layer keeps only the cheaper one.
+        #
+        # best_close[j] lists, for a ball of j users, each leg that can
         # take the segment with the cheapest max(close cost, leftover) over
         # the admissible p, r-j <= p <= 2r-1-j, and the p that attains it.
         best_close: list[list[tuple[int, Cost, int]]] = [[] for _ in range(cap + 1)]
@@ -286,7 +279,7 @@ def run_dp(
         for key in grown:
             val = cur[key]
             s = key >> shift_s
-            for l_bit, c, p in best_close[(key & mask_jk) >> bits_k]:
+            for l_bit, c, p in best_close[key & mask_j]:
                 if s & l_bit:
                     nv = val if val >= c else c
                     nkey = (s ^ l_bit) << shift_s
@@ -301,29 +294,20 @@ def run_dp(
         if want_solution:
             preds.append(prd)
 
-    # Each leg still active after the sweep has put all its swept users in
-    # balls and finishes its unswept tail single-leg, so a closed final state
-    # (S, 0, 0) costs the larger of its value and the largest tail in S.
-    # Legs are tried from the largest tail down; a tail of 0 never counts.
-    by_tail = sorted(((t, 1 << leg0) for leg0, t in enumerate(tails) if t > 0), reverse=True)
+    # A leg still active in a closed final state has put every swept user in
+    # one of at most d-1 closed balls of at most 2r-2 users, fewer than the
+    # (2r-1)d that prune sweeps on a cut leg, so it has no unswept user left.
     value, best_s = INFEASIBLE, 0
     for key, val in prev.items():
-        if key & mask_jk == 0:
-            s = key >> shift_s
-            for tail, l_bit in by_tail:
-                if s & l_bit:
-                    if tail > val:
-                        val = tail
-                    break
-            if val < value:
-                value, best_s = val, s
+        if key & mask_j == 0 and val < value:
+            value, best_s = val, key >> shift_s
     states += len(prev)
 
     stats = SolveStats(states=states, swept_users=len(sweep), legs=d_users)
     if value == INFEASIBLE or not want_solution:
         return DpRun(value, None, stats)
 
-    solution = _reconstruct(prep, norm, sweep, swept_per_leg, preds, best_s, value)
+    solution = _reconstruct(prep, norm, sweep, preds, best_s, value)
     return DpRun(value, solution, stats)
 
 
@@ -343,14 +327,13 @@ def _reconstruct(
     prep: _Prep,
     norm: Normalized,
     sweep: tuple[int, ...],
-    swept_per_leg: list[int],
     preds: list[dict[int, tuple]],
     final_s: int,
     value: Cost,
 ) -> Solution:
     # Walk the predecessor records back from the closed final state with leg
     # set final_s to the initial state...
-    shift_s = (prep.n + 1).bit_length() + (2 * prep.r).bit_length()
+    shift_s = (2 * prep.r).bit_length()
     records: list[tuple[int, tuple]] = []
     layer = len(preds) - 1
     key = final_s << shift_s
@@ -383,13 +366,11 @@ def _reconstruct(
             ball = []
             _emit_suffix(prep, leg, start + p, clusters)
     assert not ball, "open ball left after replay"
-    # ...and finish the unswept tails of the legs still active at the end.
-    for leg0 in range(prep.d_users):
-        if final_s >> leg0 & 1:
-            _emit_suffix(prep, leg0 + 1, swept_per_leg[leg0], clusters)
 
+    # ...and check the clusters against the normalized instance, which raises
+    # ValueMismatch unless they cost exactly the value the table reports.
+    assert isinstance(value, int)
     facility_of: Optional[list[int]] = None
-    check = 0
     if prep.kind == GATHERING:
         facility_of = []
         assert prep.fac_index is not None
@@ -397,18 +378,9 @@ def _reconstruct(
             found = best_facility([prep.points[p] for p in cluster], prep.fac_index)
             assert found is not None
             facility_of.append(found[0])
-            check = max(check, found[1])
+        validate_gathering(prep.inst, Solution(clusters, value, facility_of))
     else:
-        for cluster in clusters:
-            for a in range(len(cluster)):
-                for b in range(a + 1, len(cluster)):
-                    check = max(
-                        check, distance(prep.points[cluster[a]], prep.points[cluster[b]])
-                    )
-    if check != value:
-        raise RuntimeError(
-            f"reconstructed solution costs {check}, table says {value}"
-        )
+        validate_clustering(prep.inst, Solution(clusters, value))
 
     mapped = [sorted(norm.user_order[p] for p in c) for c in clusters]
     order = sorted(range(len(mapped)), key=lambda ci: mapped[ci][0])
@@ -416,7 +388,6 @@ def _reconstruct(
     out_facilities: Optional[tuple[int, ...]] = None
     if facility_of is not None:
         out_facilities = tuple(norm.facility_order[facility_of[ci]] for ci in order)
-    assert isinstance(value, int)
     return Solution(clusters=out_clusters, value=value, facility_of=out_facilities)
 
 

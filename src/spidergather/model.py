@@ -131,13 +131,12 @@ class Normalized:
     user-bearing legs come first and facility-only legs after, each group in
     ascending original order. Facilities are sorted by (x, normalized leg,
     original position). user_order[i] / facility_order[i] give the original
-    index of the normalized item i; user_rank inverts user_order; leg_map
-    sends original leg numbers to normalized ones.
+    index of the normalized item i; leg_map sends original leg numbers to
+    normalized ones.
     """
 
     instance: SpiderInstance
     user_order: tuple[int, ...]
-    user_rank: tuple[int, ...]
     facility_order: tuple[int, ...]
     leg_map: dict[int, int]
 
@@ -175,15 +174,10 @@ def normalize(instance: SpiderInstance) -> Normalized:
         facilities = tuple(PointOnSpider(leg_map[fs[i].leg], fs[i].x) for i in forder)
         facility_order = tuple(forder)
 
-    user_rank = [0] * len(order)
-    for pos, i in enumerate(order):
-        user_rank[i] = pos
-
     norm = SpiderInstance(d=len(leg_map), users=users, facilities=facilities, r=instance.r)
     return Normalized(
         instance=norm,
         user_order=tuple(order),
-        user_rank=tuple(user_rank),
         facility_order=facility_order,
         leg_map=leg_map,
     )

@@ -165,14 +165,14 @@ class SpiderReduction:
     """Output of arrears_to_spider: the decision instance and its threshold.
 
     For a normalized arrears instance, feasibility is equivalent to the
-    spider instance admitting a clustering of value <= threshold. duty_legs[i]
-    is the long leg built for duty i as given; the remaining legs are short
-    (one user each).
+    spider instance admitting a clustering of value <= threshold = 2L, where
+    L exceeds every date and budget day. duty_legs[i] is the long leg built
+    for duty i as given; the remaining legs are short (one user each). The
+    arrears instance itself is not kept: it is the caller's input.
     """
 
     instance: SpiderInstance
     threshold: int
-    arrears: ArrearsInstance
     L: int
     duty_legs: tuple[int, ...]
 
@@ -180,7 +180,7 @@ class SpiderReduction:
 def arrears_to_spider(
     instance: ArrearsInstance, *, user_ceiling: int = DEFAULT_USER_CEILING
 ) -> SpiderReduction:
-    """Build the clustering decision instance for an arrears instance.
+    """Build the clustering decision instance and threshold for an arrears instance.
 
     Long leg i carries duty i's users: r far users pinning an end cluster,
     and one user per unit of payment placed at 2L - date, so that a budget
@@ -195,30 +195,29 @@ def arrears_to_spider(
     last budget day is free on the arrears side but its long leg still
     competes for short legs here.
     """
-    norm = instance
-    max_a = max((opts[-1][0] for opts in norm.duties), default=0)
-    max_p = max((opts[-1][1] for opts in norm.duties), default=0)
-    b_last, q_last = norm.budgets[-1] if norm.budgets else (0, 0)
+    max_a = max((opts[-1][0] for opts in instance.duties), default=0)
+    max_p = max((opts[-1][1] for opts in instance.duties), default=0)
+    b_last, q_last = instance.budgets[-1] if instance.budgets else (0, 0)
     L = max(max_a, b_last) + 1
     r = max(max_p, q_last) + 1
 
-    n_users = sum(2 * r - opts[0][1] for opts in norm.duties) + q_last + r
+    n_users = sum(2 * r - opts[0][1] for opts in instance.duties) + q_last + r
     if n_users > user_ceiling:
         raise ReductionTooLarge(
             f"construction needs {n_users} users, ceiling is {user_ceiling}"
         )
 
     users: list[PointOnSpider] = []
-    duty_legs = tuple(range(1, len(norm.duties) + 1))
-    for leg, options in zip(duty_legs, norm.duties):
+    duty_legs = tuple(range(1, len(instance.duties) + 1))
+    for leg, options in zip(duty_legs, instance.duties):
         users.extend([PointOnSpider(leg, 4 * L - options[-1][0] + 1)] * r)
         for (a_k, p_k), (_, p_next) in zip(options, options[1:]):
             users.extend([PointOnSpider(leg, 2 * L - a_k)] * (p_next - p_k))
         users.extend([PointOnSpider(leg, 2 * L - options[-1][0])] * (r - options[-1][1]))
 
-    next_leg = len(norm.duties) + 1
+    next_leg = len(instance.duties) + 1
     prev_b, prev_q = 0, 0
-    for b, q in norm.budgets:
+    for b, q in instance.budgets:
         for _ in range(q - prev_q):
             users.append(PointOnSpider(next_leg, prev_b + 1))
             next_leg += 1
@@ -228,9 +227,7 @@ def arrears_to_spider(
         next_leg += 1
 
     spider = SpiderInstance(d=next_leg - 1, users=tuple(users), facilities=None, r=r)
-    return SpiderReduction(
-        instance=spider, threshold=2 * L, arrears=norm, L=L, duty_legs=duty_legs
-    )
+    return SpiderReduction(instance=spider, threshold=2 * L, L=L, duty_legs=duty_legs)
 
 
 @dataclass(frozen=True)

@@ -7,25 +7,9 @@ from spidergather import PointOnSpider, distance
 from spidergather.cost_oracle import (
     FacilityIndex,
     best_facility,
-    cost_clustering,
     cost_gathering,
 )
 from conftest import points
-
-
-def test_cost_clustering_is_sum_of_coordinates():
-    assert cost_clustering(PointOnSpider(1, 3), PointOnSpider(2, 7)) == 10
-    # Same-leg pairs use the same formula on purpose: it overestimates the
-    # true diameter, which the sweep never pays for because a cheaper split
-    # of the same users is always available.
-    assert cost_clustering(PointOnSpider(1, 3), PointOnSpider(1, 7)) == 10
-
-
-@given(points(4, 100), points(4, 100))
-def test_cost_clustering_bounds_cross_leg_distance(u, v):
-    assert cost_clustering(u, v) >= distance(u, v)
-    if u.leg != v.leg:
-        assert cost_clustering(u, v) == distance(u, v)
 
 
 def _index(facilities):

@@ -189,11 +189,12 @@ def test_value_only_gathering_agrees_and_skips_the_witness(inst):
 
 
 # Stored states of the sweep on the bench workload, pinned so that a change to
-# the closing step or to the layer bookkeeping cannot add or drop states. The
-# tail step reads the final layer once and stores no entries of its own.
+# the closing step or to the layer bookkeeping cannot add or drop states. Each
+# layer stores one entry per reachable (S, j); the final layer is read once
+# for the optimum and nothing else is stored.
 @pytest.mark.parametrize(
     "d, users_per_leg, r, states",
-    [(8, 1, 2, 628), (10, 1, 2, 2832), (12, 1, 2, 12491), (4, 10, 3, 4324), (6, 10, 3, 15813)],
+    [(8, 1, 2, 628), (10, 1, 2, 2832), (12, 1, 2, 12491), (4, 10, 3, 1458), (6, 10, 3, 7795)],
 )
 @pytest.mark.parametrize("want_solution", [False, True])
 def test_bench_state_counts_are_pinned(d, users_per_leg, r, states, want_solution):
@@ -209,12 +210,15 @@ def _spider(legs_and_coords, r, facilities=None):
     return SpiderInstance(d=d, users=users, facilities=fac, r=r)
 
 
-# Instances for the tail step, the pass over the closed states of the final
-# layer. With one user per leg and r = 2 no leg can be finished single-leg, so
-# every leg either gives a cluster its segment or stays active to the end with
-# its users in a ball: four or five users make at most two clusters, and two
-# or more legs are still active when the sweep ends. A leg with 1..r-1 users
-# past prune's cut has an INFEASIBLE tail and must not be among them.
+# Instances whose optimum is the least value among the closed states of the
+# final layer with several legs still active; nothing is added for the legs
+# left active, since each has put all its users in balls. With one user per
+# leg and r = 2 no leg can be finished single-leg, so every leg either gives a
+# cluster its segment or stays active to the end with its users in a ball:
+# four or five users make at most two clusters, and two or more legs are
+# still active when the sweep ends. A leg with 1..r-1 users past prune's cut
+# would have an INFEASIBLE single-leg tail, but it can never stay active: its
+# swept users do not fit in the balls.
 @pytest.mark.parametrize(
     "kind, inst",
     [
@@ -240,6 +244,47 @@ def test_tail_step_matches_the_oracles(kind, inst, want_solution):
     assert want is not None
     run = run_dp(inst, kind, want_solution=want_solution)
     assert run.value == want.value == enumerate_suffix_special(inst, kind)
+    if want_solution:
+        assert validate(inst, run.solution) == run.value
+
+
+# Instances on which two open balls with the same active legs S and the same
+# size j, but different last users, reach the same layer; the sweep keeps one
+# state for both, so it stores fewer states than a key that also holds the
+# last ball user (45, 94, 77 and 95 states there). In the second instance,
+# after (2, 8) with only leg 1 active, the ball {(2, 3)} follows the cluster
+# {(2, 0), (3, 4)} at value 4 and the ball {(2, 5)} follows the cluster
+# {(2, 0), (2, 3), (3, 4)} at value 7; leg 2 is finished single-leg in both.
+@pytest.mark.parametrize(
+    "kind, inst, states",
+    [
+        (CLUSTERING, _spider(((1, 2), (1, 5), (2, 1), (3, 2), (3, 3), (3, 6)), r=2), 42),
+        (CLUSTERING, _spider(((1, 12), (2, 0), (2, 3), (2, 5), (2, 8), (2, 9), (3, 4)), r=2), 89),
+        (
+            GATHERING,
+            _spider(
+                ((1, 1), (1, 5), (1, 9), (2, 3), (2, 4), (2, 9), (3, 1)),
+                r=2,
+                facilities=((2, 4), (1, 12)),
+            ),
+            74,
+        ),
+        (
+            GATHERING,
+            _spider(((1, 2), (1, 5), (1, 6), (2, 12), (3, 5), (3, 7), (3, 9)), r=2, facilities=((2, 9),)),
+            93,
+        ),
+    ],
+)
+@pytest.mark.parametrize("want_solution", [False, True])
+def test_open_balls_that_differ_only_in_last_user_share_a_state(kind, inst, states, want_solution):
+    if kind == CLUSTERING:
+        want, validate = brute_clustering(inst), validate_clustering
+    else:
+        want, validate = brute_gathering(inst), validate_gathering
+    run = run_dp(inst, kind, want_solution=want_solution)
+    assert run.value == want.value == enumerate_suffix_special(inst, kind)
+    assert run.stats.states == states
     if want_solution:
         assert validate(inst, run.solution) == run.value
 

@@ -144,13 +144,12 @@ def test_normalize_is_idempotent(inst):
 @given(spider_instances())
 def test_normalize_preserves_pairwise_distances(inst):
     norm = normalize(inst)
-    for a in range(len(inst.users)):
-        for b in range(len(inst.users)):
-            original = distance(inst.users[a], inst.users[b])
-            mapped = distance(
-                norm.instance.users[norm.user_rank[a]],
-                norm.instance.users[norm.user_rank[b]],
-            )
+    # user_order is a permutation, so every pair of original users is checked.
+    assert sorted(norm.user_order) == list(range(len(inst.users)))
+    for a, orig_a in enumerate(norm.user_order):
+        for b, orig_b in enumerate(norm.user_order):
+            original = distance(inst.users[orig_a], inst.users[orig_b])
+            mapped = distance(norm.instance.users[a], norm.instance.users[b])
             assert original == mapped
 
 
