@@ -7,7 +7,8 @@ optional "facilities"} with points as {"leg", "x"}; an arrears instance is
 "facilities"} with indices into the instance file's ordering.
 
 Exit codes: 0 success, 1 infeasible instance or invalid solution, 2 parse or
-validation failure, 3 construction larger than the configured ceiling.
+validation failure (including every other size guard), 3 construction larger
+than the configured user ceiling or DP over its state ceiling.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from .exact_oracle import (
     brute_clustering,
     brute_gathering,
 )
-from .fpt_solver import CLUSTERING, GATHERING, run_dp, solve
+from .fpt_solver import (
+    CLUSTERING,
+    DEFAULT_STATE_CEILING,
+    GATHERING,
+    StateCeilingExceeded,
+    run_dp,
+    solve,
+)
 from .model import (
     INFEASIBLE,
     MalformedInstanceError,
@@ -203,6 +211,10 @@ def _env_int(name: str, fallback: int) -> int:
         raise MalformedInstanceError(f"{name} must be an integer, got {raw!r}") from exc
 
 
+def _state_ceiling() -> int:
+    return _env_int("SPIDERGATHER_STATE_CEILING", DEFAULT_STATE_CEILING)
+
+
 # ---------------------------------------------------------------------------
 # Instance generators (shared with the test suite).
 
@@ -293,7 +305,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         else:
             solution = brute_gathering(instance, guard=guard)
     else:
-        solution = solve(instance, kind, use_pruning=not args.no_prune)
+        solution = solve(
+            instance, kind, use_pruning=not args.no_prune, max_states=_state_ceiling()
+        )
     _dump(solution_to_json(solution), sys.stdout)
     return EXIT_OK if solution is not None else EXIT_INFEASIBLE
 
@@ -341,7 +355,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise MalformedInstanceError("solution must have value and clusters")
 
     if raw["value"] == "infeasible":
-        if run_dp(instance, kind, want_solution=False).value == INFEASIBLE:
+        run = run_dp(instance, kind, want_solution=False, max_states=_state_ceiling())
+        if run.value == INFEASIBLE:
             print("infeasible")
             return EXIT_OK
         print("claimed infeasible, but the instance is feasible", file=sys.stderr)
@@ -454,6 +469,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     low, high = _parse_range(args.legs_range)
     if args.trials < 1:
         raise MalformedInstanceError(f"--trials must be at least 1, got {args.trials}")
+    max_states = _state_ceiling()
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -470,7 +486,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             states = 0
             for _ in range(args.trials):
                 start = time.perf_counter()
-                run = run_dp(instance, CLUSTERING, want_solution=False)
+                run = run_dp(instance, CLUSTERING, want_solution=False, max_states=max_states)
                 elapsed.append((time.perf_counter() - start) * 1000.0)
                 states = run.stats.states
             mean_ms = sum(elapsed) / len(elapsed)
@@ -560,6 +576,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ReductionTooLarge as exc:
         print(f"construction too large: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except StateCeilingExceeded as exc:
+        print(f"instance too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except (MalformedInstanceError, SizeGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,9 +47,6 @@ class FacilityIndex:
         self._first: Optional[tuple[int, int, int]] = firsts[0] if firsts else None
         self._second: Optional[tuple[int, int, int]] = firsts[1] if len(firsts) > 1 else None
 
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self.by_leg.values())
-
     def off_leg_min(self, leg: int) -> Optional[tuple[int, int]]:
         """Smallest facility coordinate on any leg other than `leg`, with its index."""
         if self._first is None:

@@ -17,6 +17,12 @@ and suffix completions. A leg still participating after the sweep has put
 every swept user in a ball, which leaves it no unswept user, so the optimum
 is the least value among the closed states (S, 0) of the final layer.
 
+Two kinds of open ball are never stored, because neither can close: a ball
+of 2r-1 users (a close adds at least one segment user, and a cluster holds
+at most 2r-1), and an open ball whose S holds no leg with a swept user later
+in the sweep (it can neither grow nor close again). No leg has a later swept
+user on the final layer, so that layer holds closed states only.
+
 Closing a cluster picks a segment on an active leg just beyond the swept
 user. Only the balls that grew with the swept user are closed on its layer:
 every other open ball was closed on an earlier layer with the same segments.
@@ -28,8 +34,9 @@ and the current value layer; a witness run also keeps one predecessor table
 per layer, which reconstruction walks back.
 
 The stored state count is what the parameter buys: each layer is keyed by
-subsets of legs times the 2r ball sizes, and infeasible entries are never
-stored.
+subsets of legs times the 2r-1 ball sizes, and infeasible entries are never
+stored. run_dp raises StateCeilingExceeded once the layers it has completed
+hold more than max_states states in all.
 """
 
 from __future__ import annotations
@@ -58,6 +65,11 @@ CLUSTERING = "clustering"
 GATHERING = "gathering"
 
 DEFAULT_ENUM_NODE_BUDGET = 5_000_000
+DEFAULT_STATE_CEILING = 1_000_000
+
+
+class StateCeilingExceeded(SizeGuard):
+    """The sweep DP stored more states than its ceiling allows."""
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,7 @@ def run_dp(
     *,
     use_pruning: bool = True,
     want_solution: bool = True,
+    max_states: int = DEFAULT_STATE_CEILING,
 ) -> DpRun:
     """Run the DP on any instance; see solve for the common entry point.
 
@@ -182,12 +195,14 @@ def run_dp(
     visits every user (useful as a self-check; the answer must not change).
     With want_solution=False only the optimal value and stats are computed.
     Either way the sweep holds two value layers at a time, the previous and
-    the current, and counts each layer's states once it is complete. The
-    optimum is the least value among the closed states (S, 0) of the final
-    layer; a witness run keeps the leg set S of the best one and walks back
-    from it through the one predecessor table per layer that it also keeps,
-    so only a witness run grows with the sweep. Both modes store the same
-    states.
+    the current, and counts each layer's states once it is complete; once
+    the count passes max_states it raises StateCeilingExceeded. No layer
+    stores a ball of 2r-1 users, nor an open ball whose S holds no leg with
+    a later swept user, so the final layer holds closed states (S, 0) only
+    and the optimum is the least of their values. A witness run keeps the
+    leg set S of the best one and walks back from it through the one
+    predecessor table per layer that it also keeps, so only a witness run
+    grows with the sweep. Both modes store the same states.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
@@ -202,35 +217,48 @@ def run_dp(
     cap = 2 * r - 1
     close_cost = prep.close_cost
 
+    # live[i]: the legs with a swept user after sweep[i], on the S field. An
+    # open ball whose S misses them can neither grow nor close again.
+    live = [0] * len(sweep)
+    later = 0
+    for i in range(len(sweep) - 1, -1, -1):
+        live[i] = later << shift_s
+        later |= 1 << (prep.legs[sweep[i]] - 1)
+
     prev: dict[int, Cost] = {full_s << shift_s: 0}
     preds: list[dict[int, tuple]] = [{}] if want_solution else []
-    states = 0
+    states = 1  # the initial layer
 
-    for u_pos in sweep:
-        u_bit = 1 << (prep.legs[u_pos] - 1)
+    for u_pos, live_u in zip(sweep, live):
+        u_s = 1 << (prep.legs[u_pos] - 1 + shift_s)
         cur: dict[int, Cost] = {}
         prd: dict[int, tuple] = {}
         grown: list[int] = []  # keys of the balls that u joined, each once
 
         r_minus_u = prep.r_minus(u_pos)
         for key, val in prev.items():
-            if key >> shift_s & u_bit:
-                if key & mask_j < cap:  # grow the ball with u
+            if key & u_s:
+                j = key & mask_j
+                if j < cap - 1:  # grow the ball with u; 2r-1 users cannot close
                     # (S, j) is the only state that grows into (S, j + 1), and
                     # "c" and "d" keys lack u's leg, so the key is new.
                     nkey = key + 1
-                    cur[nkey] = val
-                    grown.append(nkey)
-                    if want_solution:
-                        prd[nkey] = ("b", key)
-                if r_minus_u != INFEASIBLE:  # retire u's leg, finish it single-leg
-                    nv = val if val >= r_minus_u else r_minus_u
-                    nkey = key - (u_bit << shift_s)
-                    if nkey not in cur or nv < cur[nkey]:
-                        cur[nkey] = nv
+                    if nkey & live_u:
+                        cur[nkey] = val
+                        grown.append(nkey)
                         if want_solution:
-                            prd[nkey] = ("d", key)
+                            prd[nkey] = ("b", key)
+                if r_minus_u != INFEASIBLE:  # retire u's leg, finish it single-leg
+                    nkey = key - u_s
+                    if not j or nkey & live_u:
+                        nv = val if val >= r_minus_u else r_minus_u
+                        if nkey not in cur or nv < cur[nkey]:
+                            cur[nkey] = nv
+                            if want_solution:
+                                prd[nkey] = ("d", key)
             else:  # u's leg already retired; u was consumed earlier or will be later
+                # An open key was live on the previous layer and lacks u's
+                # leg, so it is still live.
                 if key not in cur or val < cur[key]:
                     cur[key] = val
                     if want_solution:
@@ -250,8 +278,15 @@ def run_dp(
         # So a ball is closed only on the layer of its last user, and its
         # close cost depends only on the leg and p. Nothing else reads which
         # user an open ball took last: "b" replaces it with u, and the final
-        # layer wants closed states. Two open balls with the same (S, j) have
-        # the same future, so the layer keeps only the cheaper one.
+        # layer holds closed states only. Two open balls with the same (S, j)
+        # have the same future, so the layer keeps only the cheaper one.
+        #
+        # No layer stores a ball of 2r-1 users, nor an open ball whose S holds
+        # no leg with a later swept user; the last layer has no such leg, so
+        # it stores closed states only. Such a ball has no close on this layer
+        # either, so "b" drops it at once: by the count above, every user of
+        # an active leg up to prune's cut is swept, so a leg of S with a user
+        # beyond u has a later swept user.
         #
         # best_close[j] lists, for a ball of j users, each leg that can
         # take the segment with the cheapest max(close cost, leftover) over
@@ -289,19 +324,23 @@ def run_dp(
                         if want_solution:
                             prd[nkey] = ("x", key, l_bit.bit_length(), p)
 
-        states += len(prev)
+        states += len(cur)
+        if states > max_states:
+            raise StateCeilingExceeded(
+                f"sweep DP stored {states} states, ceiling is {max_states}"
+            )
         prev = cur
         if want_solution:
             preds.append(prd)
 
-    # A leg still active in a closed final state has put every swept user in
-    # one of at most d-1 closed balls of at most 2r-2 users, fewer than the
-    # (2r-1)d that prune sweeps on a cut leg, so it has no unswept user left.
+    # Every state of the final layer is closed. A leg still active in one has
+    # put every swept user in one of at most d-1 closed balls of at most 2r-2
+    # users, fewer than the (2r-1)d that prune sweeps on a cut leg, so it has
+    # no unswept user left.
     value, best_s = INFEASIBLE, 0
     for key, val in prev.items():
-        if key & mask_j == 0 and val < value:
+        if val < value:
             value, best_s = val, key >> shift_s
-    states += len(prev)
 
     stats = SolveStats(states=states, swept_users=len(sweep), legs=d_users)
     if value == INFEASIBLE or not want_solution:
@@ -392,14 +431,19 @@ def _reconstruct(
 
 
 def solve(
-    instance: SpiderInstance, kind: str = CLUSTERING, *, use_pruning: bool = True
+    instance: SpiderInstance,
+    kind: str = CLUSTERING,
+    *,
+    use_pruning: bool = True,
+    max_states: int = DEFAULT_STATE_CEILING,
 ) -> Optional[Solution]:
     """Optimal solution for an instance, or None when infeasible.
 
     Cluster and facility indices in the result refer to the instance's own
-    ordering. The reported value is exact.
+    ordering. The reported value is exact. Raises StateCeilingExceeded once
+    the sweep has stored more than max_states states.
     """
-    return run_dp(instance, kind, use_pruning=use_pruning).solution
+    return run_dp(instance, kind, use_pruning=use_pruning, max_states=max_states).solution
 
 
 def enumerate_suffix_special(

@@ -344,8 +344,6 @@ class GadgetReport:
     expected_side_sum: tuple[int, ...]  # the common target value per variable
     total: int  # sum of expected side sums
     digit_sums: tuple[int, ...]  # per digit position, over all first payments
-    budget_digits: tuple[tuple[int, ...], ...]
-    items_positive_side: tuple[bool, ...]  # side flag per duty, in duty order
 
 
 def sat_to_arrears(formula: CnfFormula) -> tuple[ArrearsInstance, GadgetReport]:
@@ -402,8 +400,6 @@ def sat_to_arrears(formula: CnfFormula) -> tuple[ArrearsInstance, GadgetReport]:
         expected_side_sum=expected,
         total=total,
         digit_sums=tuple(digit_sums),
-        budget_digits=tuple(_digits(q, B) for _, q in budgets),
-        items_positive_side=tuple(item.positive_side for item in items),
     )
     return instance, report
 

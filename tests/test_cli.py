@@ -239,6 +239,26 @@ def test_reduce_oversized_exits_three(arrears_file, capsys, monkeypatch):
     assert "too large" in capsys.readouterr().err
 
 
+def test_solve_over_the_state_ceiling_exits_three(clustering_file, capsys, monkeypatch):
+    monkeypatch.setenv("SPIDERGATHER_STATE_CEILING", "1")
+    assert main(["solve", clustering_file]) == 3
+    captured = capsys.readouterr()
+    assert "too large" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_bad_state_ceiling_exits_two(clustering_file, capsys, monkeypatch):
+    monkeypatch.setenv("SPIDERGATHER_STATE_CEILING", "many")
+    assert main(["solve", clustering_file]) == 2
+    assert "SPIDERGATHER_STATE_CEILING" in capsys.readouterr().err
+
+
+def test_oracle_size_guard_still_exits_two(clustering_file, capsys, monkeypatch):
+    monkeypatch.setenv("SPIDERGATHER_PARTITION_GUARD", "3")
+    assert main(["solve", clustering_file, "--oracle"]) == 2
+    assert "limited to 3 users" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic(capsys):
     assert main(["gen", "--kind", "spider", "--seed", "11", "--users", "9"]) == 0
     first = capsys.readouterr().out

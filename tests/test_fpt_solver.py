@@ -18,8 +18,8 @@ from spidergather import (
     validate_gathering,
 )
 from spidergather.cli import bench_instance
-from spidergather.fpt_solver import prune, run_dp
-from spidergather.model import normalize
+from spidergather.fpt_solver import StateCeilingExceeded, prune, run_dp
+from spidergather.model import SizeGuard, normalize
 from conftest import spider_instances
 
 
@@ -190,11 +190,13 @@ def test_value_only_gathering_agrees_and_skips_the_witness(inst):
 
 # Stored states of the sweep on the bench workload, pinned so that a change to
 # the closing step or to the layer bookkeeping cannot add or drop states. Each
-# layer stores one entry per reachable (S, j); the final layer is read once
-# for the optimum and nothing else is stored.
+# layer stores one entry per reachable (S, j) that can still close: no ball of
+# 2r-1 users, and no open ball whose S holds no leg with a later swept user.
+# So the final layer holds closed states only; it is read once for the
+# optimum and nothing else is stored.
 @pytest.mark.parametrize(
     "d, users_per_leg, r, states",
-    [(8, 1, 2, 628), (10, 1, 2, 2832), (12, 1, 2, 12491), (4, 10, 3, 1458), (6, 10, 3, 7795)],
+    [(8, 1, 2, 451), (10, 1, 2, 2019), (12, 1, 2, 8978), (4, 10, 3, 1040), (6, 10, 3, 6060)],
 )
 @pytest.mark.parametrize("want_solution", [False, True])
 def test_bench_state_counts_are_pinned(d, users_per_leg, r, states, want_solution):
@@ -250,16 +252,17 @@ def test_tail_step_matches_the_oracles(kind, inst, want_solution):
 
 # Instances on which two open balls with the same active legs S and the same
 # size j, but different last users, reach the same layer; the sweep keeps one
-# state for both, so it stores fewer states than a key that also holds the
-# last ball user (45, 94, 77 and 95 states there). In the second instance,
-# after (2, 8) with only leg 1 active, the ball {(2, 3)} follows the cluster
-# {(2, 0), (3, 4)} at value 4 and the ball {(2, 5)} follows the cluster
-# {(2, 0), (2, 3), (3, 4)} at value 7; leg 2 is finished single-leg in both.
+# state for both. Storing open balls that cannot close as well, a key that
+# also holds the last ball user stores 45, 94, 77 and 95 states here, and the
+# shared key 42, 89, 74 and 93. In the second instance, after (2, 8) with only
+# leg 1 active, the ball {(2, 3)} follows the cluster {(2, 0), (3, 4)} at
+# value 4 and the ball {(2, 5)} follows the cluster {(2, 0), (2, 3), (3, 4)}
+# at value 7; leg 2 is finished single-leg in both.
 @pytest.mark.parametrize(
     "kind, inst, states",
     [
-        (CLUSTERING, _spider(((1, 2), (1, 5), (2, 1), (3, 2), (3, 3), (3, 6)), r=2), 42),
-        (CLUSTERING, _spider(((1, 12), (2, 0), (2, 3), (2, 5), (2, 8), (2, 9), (3, 4)), r=2), 89),
+        (CLUSTERING, _spider(((1, 2), (1, 5), (2, 1), (3, 2), (3, 3), (3, 6)), r=2), 24),
+        (CLUSTERING, _spider(((1, 12), (2, 0), (2, 3), (2, 5), (2, 8), (2, 9), (3, 4)), r=2), 55),
         (
             GATHERING,
             _spider(
@@ -267,12 +270,12 @@ def test_tail_step_matches_the_oracles(kind, inst, want_solution):
                 r=2,
                 facilities=((2, 4), (1, 12)),
             ),
-            74,
+            42,
         ),
         (
             GATHERING,
             _spider(((1, 2), (1, 5), (1, 6), (2, 12), (3, 5), (3, 7), (3, 9)), r=2, facilities=((2, 9),)),
-            93,
+            60,
         ),
     ],
 )
@@ -295,3 +298,30 @@ def test_stats_report_sweep_sizes():
     assert run.stats.legs == 1
     assert run.stats.swept_users == 3
     assert run.stats.states > 0
+
+
+# Open balls that can never close are not stored. The sweep takes (1, 0),
+# (2, 5), (1, 7), then the rest of leg 2. A ball of all three first users has
+# 2r-1 = 3 users and cannot take a segment user. An open ball whose S is
+# {leg 1} after (1, 7), or empty, can neither grow nor close, because no leg
+# in S has a user left to sweep. Storing both kinds gives 38 states here; the
+# optimum is 7 either way, from {(1, 0), (1, 7)}, {(2, 5), (2, 8)} and
+# {(2, 9), (2, 11)}.
+@pytest.mark.parametrize("want_solution", [False, True])
+def test_open_balls_that_cannot_close_are_not_stored(want_solution):
+    inst = _spider(((1, 0), (1, 7), (2, 5), (2, 8), (2, 9), (2, 11)), r=2)
+    run = run_dp(inst, CLUSTERING, want_solution=want_solution)
+    assert run.value == 7 == brute_clustering(inst).value == enumerate_suffix_special(inst)
+    assert run.stats.states == 19
+    if want_solution:
+        assert validate_clustering(inst, run.solution) == 7
+
+
+def test_state_ceiling_stops_the_sweep():
+    inst = bench_instance(0, 8, users_per_leg=1, r=2, coord_bound=100)
+    assert run_dp(inst, CLUSTERING, want_solution=False, max_states=451).stats.states == 451
+    with pytest.raises(StateCeilingExceeded) as raised:
+        run_dp(inst, CLUSTERING, want_solution=False, max_states=450)
+    assert isinstance(raised.value, SizeGuard)
+    with pytest.raises(StateCeilingExceeded):
+        solve(inst, CLUSTERING, max_states=10)
