@@ -7,10 +7,9 @@ part, with x(u) <= x(v). Everything else in the cluster sits at coordinate
 cost that depends on u and v alone is enough:
 
   clustering: x(u) + x(v), which fpt_solver computes inline: the diameter
-      realized by u and v themselves whenever they sit on different legs.
-      The formula is applied even when they share a leg; there it
-      overestimates, which is safe because the same cluster is also
-      reachable through a close whose estimate is exact.
+      realized by u and v themselves, which sit on different legs because
+      fpt_solver closes no ball on the leg of its last user (another
+      transition reaches the same state at no higher value).
 
   gathering: the best facility is either off v's leg (then the smallest such
       facility coordinate wins and the cluster radius is that coordinate plus

@@ -26,17 +26,23 @@ user on the final layer, so that layer holds closed states only.
 Closing a cluster picks a segment on an active leg just beyond the swept
 user. Only the balls that grew with the swept user are closed on its layer:
 every other open ball was closed on an earlier layer with the same segments.
+No ball is closed on the swept user's own leg, because another transition
+reaches the same closed state at no higher value.
 A grown ball ends at the swept user, so its close cost depends only on the
 leg and the segment size, and one table per layer holds the cheapest close
 for each ball size and leg. Nothing else reads which user the ball took
-last, so the state does not record it. The sweep keeps only the previous
-and the current value layer; a witness run also keeps one predecessor table
-per layer, which reconstruction walks back.
+last, so the state does not record it. A value-only sweep holds only the
+previous and the current value layer, and releases the previous one before
+it closes the current one. There are no predecessor tables: a witness run
+keeps every value layer instead, and reconstruction walks back through
+them, taking on each layer a transition whose recomputed value is the
+stored one.
 
 The stored state count is what the parameter buys: each layer is keyed by
 subsets of legs times the 2r-1 ball sizes, and infeasible entries are never
-stored. run_dp raises StateCeilingExceeded once the layers it has completed
-hold more than max_states states in all.
+stored. run_dp raises StateCeilingExceeded once it has stored more than
+max_states states in all; it checks each layer before its closes as well as
+after, so the layer that crosses the ceiling is not closed.
 """
 
 from __future__ import annotations
@@ -194,15 +200,18 @@ def run_dp(
     max cluster cost of any way to reach it. With use_pruning=False the sweep
     visits every user (useful as a self-check; the answer must not change).
     With want_solution=False only the optimal value and stats are computed.
-    Either way the sweep holds two value layers at a time, the previous and
-    the current, and counts each layer's states once it is complete; once
-    the count passes max_states it raises StateCeilingExceeded. No layer
-    stores a ball of 2r-1 users, nor an open ball whose S holds no leg with
-    a later swept user, so the final layer holds closed states (S, 0) only
-    and the optimum is the least of their values. A witness run keeps the
-    leg set S of the best one and walks back from it through the one
-    predecessor table per layer that it also keeps, so only a witness run
-    grows with the sweep. Both modes store the same states.
+    Both modes run the same transitions and store the same states. The sweep
+    holds the previous and the current value layer, and releases the previous
+    one once its "b", "c" and "d" steps are done, before the closes grow the
+    current one. It counts the states as it goes and raises
+    StateCeilingExceeded once they pass max_states, checked before and after
+    each layer's closes. No layer stores a ball of 2r-1 users, nor an open
+    ball whose S holds no leg with a later swept user, so the final layer
+    holds closed states (S, 0) only and the optimum is the least of their
+    values. There are no predecessor tables: a witness run keeps every value
+    layer, so only a witness run grows with the sweep, and walks back from
+    the best closed final state, recomputing on each layer a transition that
+    attains the stored value.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
@@ -215,7 +224,6 @@ def run_dp(
     mask_j = (1 << shift_s) - 1
     full_s = (1 << d_users) - 1
     cap = 2 * r - 1
-    close_cost = prep.close_cost
 
     # live[i]: the legs with a swept user after sweep[i], on the S field. An
     # open ball whose S misses them can neither grow nor close again.
@@ -226,13 +234,12 @@ def run_dp(
         later |= 1 << (prep.legs[sweep[i]] - 1)
 
     prev: dict[int, Cost] = {full_s << shift_s: 0}
-    preds: list[dict[int, tuple]] = [{}] if want_solution else []
+    layers: list[dict[int, Cost]] = []  # a witness run's finished value layers
     states = 1  # the initial layer
 
     for u_pos, live_u in zip(sweep, live):
         u_s = 1 << (prep.legs[u_pos] - 1 + shift_s)
         cur: dict[int, Cost] = {}
-        prd: dict[int, tuple] = {}
         grown: list[int] = []  # keys of the balls that u joined, each once
 
         r_minus_u = prep.r_minus(u_pos)
@@ -246,23 +253,29 @@ def run_dp(
                     if nkey & live_u:
                         cur[nkey] = val
                         grown.append(nkey)
-                        if want_solution:
-                            prd[nkey] = ("b", key)
                 if r_minus_u != INFEASIBLE:  # retire u's leg, finish it single-leg
                     nkey = key - u_s
                     if not j or nkey & live_u:
                         nv = val if val >= r_minus_u else r_minus_u
                         if nkey not in cur or nv < cur[nkey]:
                             cur[nkey] = nv
-                            if want_solution:
-                                prd[nkey] = ("d", key)
             else:  # u's leg already retired; u was consumed earlier or will be later
                 # An open key was live on the previous layer and lacks u's
                 # leg, so it is still live.
                 if key not in cur or val < cur[key]:
                     cur[key] = val
-                    if want_solution:
-                        prd[key] = ("c", key)
+
+        # The previous layer is released before the closes grow this one; a
+        # witness run keeps it for the walk-back. The closes only add states,
+        # so a layer whose "b", "c" and "d" states pass the ceiling stops the
+        # sweep before it is closed.
+        if want_solution:
+            layers.append(prev)
+        prev = cur
+        if states + len(cur) > max_states:
+            raise StateCeilingExceeded(
+                f"sweep DP stored {states + len(cur)} states, ceiling is {max_states}"
+            )
 
         # Close the open cluster with a segment of p users on an active leg
         # just beyond u. Only the balls that grew with u are closed. Any other
@@ -288,66 +301,85 @@ def run_dp(
         # an active leg up to prune's cut is swept, so a leg of S with a user
         # beyond u has a later swept user.
         #
-        # best_close[j] lists, for a ball of j users, each leg that can
+        # No ball is closed on u's own leg, because "c" or "d" reaches the
+        # same closed state at no higher value. A ball of u alone closed there
+        # is a single-leg cluster, and "d" finishes the leg from u at the
+        # suffix optimum, which is at most that cluster with its leftover. A
+        # larger ball was closed with the same users on the layer of its
+        # previous user (with the segment starting at u, as above), or on an
+        # earlier one by the same argument, and that closed state reaches this
+        # layer through "c": both close costs grow with the ball's last
+        # coordinate, so moving it back from u costs no more.
+        #
+        # best_close[j] lists, for a ball of j users, each other leg that can
         # take the segment with the cheapest max(close cost, leftover) over
-        # the admissible p, r-j <= p <= 2r-1-j, and the p that attains it.
-        best_close: list[list[tuple[int, Cost, int]]] = [[] for _ in range(cap + 1)]
+        # the admissible p, r-j <= p <= 2r-1-j.
+        best_close: list[list[tuple[int, Cost]]] = [[] for _ in range(cap)]
+        u_leg0 = prep.legs[u_pos] - 1
         for leg0 in range(d_users):
-            members = prep.leg_members[leg0]
-            values = prep.suffix[leg0].values
-            start = bisect_right(members, u_pos)
-            if start == len(members):
+            if leg0 == u_leg0:
+                continue
+            costs = _close_costs(prep, u_pos, leg0)
+            if not costs:
                 continue  # no user beyond u on this leg to close with
-            costs: list[Cost] = []  # costs[p - 1]
-            for mi in range(start, min(start + cap - 1, len(members))):
-                cost = close_cost(u_pos, members[mi])
-                leftover = values[len(members) - mi - 1]
-                costs.append(cost if cost >= leftover else leftover)
             for j in range(1, cap):
-                best, best_p = INFEASIBLE, 0
-                for p in range(max(r - j, 1), min(cap - j, len(costs)) + 1):
-                    if costs[p - 1] < best:
-                        best, best_p = costs[p - 1], p
-                if best_p:
-                    best_close[j].append((1 << leg0, best, best_p))
+                best = min(costs[max(r - j, 1) - 1 : cap - j], default=INFEASIBLE)
+                if best != INFEASIBLE:
+                    best_close[j].append((1 << leg0, best))
 
         for key in grown:
             val = cur[key]
             s = key >> shift_s
-            for l_bit, c, p in best_close[key & mask_j]:
+            for l_bit, c in best_close[key & mask_j]:
                 if s & l_bit:
                     nv = val if val >= c else c
                     nkey = (s ^ l_bit) << shift_s
                     old = cur.get(nkey)
                     if old is None or nv < old:
                         cur[nkey] = nv
-                        if want_solution:
-                            prd[nkey] = ("x", key, l_bit.bit_length(), p)
 
         states += len(cur)
         if states > max_states:
             raise StateCeilingExceeded(
                 f"sweep DP stored {states} states, ceiling is {max_states}"
             )
-        prev = cur
-        if want_solution:
-            preds.append(prd)
 
     # Every state of the final layer is closed. A leg still active in one has
     # put every swept user in one of at most d-1 closed balls of at most 2r-2
     # users, fewer than the (2r-1)d that prune sweeps on a cut leg, so it has
     # no unswept user left.
-    value, best_s = INFEASIBLE, 0
+    value, best_key = INFEASIBLE, 0
     for key, val in prev.items():
         if val < value:
-            value, best_s = val, key >> shift_s
+            value, best_key = val, key
 
     stats = SolveStats(states=states, swept_users=len(sweep), legs=d_users)
     if value == INFEASIBLE or not want_solution:
         return DpRun(value, None, stats)
 
-    solution = _reconstruct(prep, norm, sweep, preds, best_s, value)
+    layers.append(prev)
+    steps = _walk_back(prep, sweep, layers, best_key)
+    solution = _reconstruct(prep, norm, sweep, steps, value)
     return DpRun(value, solution, stats)
+
+
+def _close_costs(prep: _Prep, u_pos: int, leg0: int) -> list[Cost]:
+    """Costs of closing a ball that ends at u_pos on leg leg0 + 1, by segment size.
+
+    costs[p - 1] is max(close cost, leftover) for the segment of the p users
+    of the leg just beyond u_pos, p <= 2r-2; the leftover finishes the rest
+    of the leg single-leg. Empty when the leg has no user beyond u_pos.
+    """
+    members = prep.leg_members[leg0]
+    values = prep.suffix[leg0].values
+    close_cost = prep.close_cost
+    start = bisect_right(members, u_pos)
+    costs: list[Cost] = []
+    for mi in range(start, min(start + 2 * prep.r - 2, len(members))):
+        cost = close_cost(u_pos, members[mi])
+        leftover = values[len(members) - mi - 1]
+        costs.append(cost if cost >= leftover else leftover)
+    return costs
 
 
 def _emit_suffix(prep: _Prep, leg: int, start_rank: int, clusters: list[list[int]]) -> None:
@@ -362,34 +394,89 @@ def _emit_suffix(prep: _Prep, leg: int, start_rank: int, clusters: list[list[int
         k -= t
 
 
+def _walk_back(
+    prep: _Prep, sweep: tuple[int, ...], layers: list[dict[int, Cost]], final_key: int
+) -> list[tuple[int, str, int, int, int]]:
+    """The transitions that reach final_key on the last layer, first to last.
+
+    Each step is (layer, tag, key, leg, p): the key it reaches on that layer,
+    and for a close "x" its leg and segment size. A stored value v is the
+    least over the transitions into its key, so any transition from a stored
+    state whose recomputed value is at most v attains v; the walk takes the
+    first one it finds.
+    """
+    shift_s = (2 * prep.r).bit_length()
+    mask_j = (1 << shift_s) - 1
+    steps: list[tuple[int, str, int, int, int]] = []
+    key = final_key
+    for i in range(len(layers) - 1, 0, -1):
+        u_pos = sweep[i - 1]
+        u_s = 1 << (prep.legs[u_pos] - 1 + shift_s)
+        layer, below = layers[i], layers[i - 1]
+        v = layer[key]
+        if not key & u_s:  # "c" keeps the key, "d" retires u's leg from it
+            if below.get(key, INFEASIBLE) <= v:
+                steps.append((i, "c", key, 0, 0))
+                continue
+            # No close is made on u's own leg, so "d" is the only other way.
+            nv = max(below.get(key + u_s, INFEASIBLE), prep.r_minus(u_pos))
+            assert nv <= v, "no transition reaches a stored state"
+            steps.append((i, "d", key, 0, 0))
+            key += u_s
+            continue
+        if not key & mask_j:  # a closed key that holds u's leg closed a grown ball
+            g_key, leg, p = _close_into(prep, layer, key, u_pos, v)
+            steps.append((i, "x", key, leg, p))
+            key = g_key
+        # Only "b" makes an open key that holds u's leg: the ball grew with u.
+        assert key & u_s and key & mask_j, "no transition reaches a stored state"
+        steps.append((i, "b", key, 0, 0))
+        key -= 1
+    assert key == next(iter(layers[0])), "walk-back missed the initial state"
+    steps.reverse()
+    return steps
+
+
+def _close_into(
+    prep: _Prep, layer: dict[int, Cost], key: int, u_pos: int, v: Cost
+) -> tuple[int, int, int]:
+    """A close on u_pos's layer that reaches the closed key at value at most v.
+
+    The key holds u's leg. Returns the grown key (S + l, j) that the close
+    takes, with l a leg outside S and 1 <= j <= 2r-2, the leg l and the
+    segment size p.
+    """
+    r, cap = prep.r, 2 * prep.r - 1
+    shift_s = (2 * r).bit_length()
+    s = key >> shift_s
+    for leg0 in range(prep.d_users):
+        if s >> leg0 & 1:
+            continue
+        costs = None
+        for j in range(1, cap):
+            g_key = (s | 1 << leg0) << shift_s | j
+            if layer.get(g_key, INFEASIBLE) > v:
+                continue
+            if costs is None:
+                costs = _close_costs(prep, u_pos, leg0)
+            for p in range(max(r - j, 1), min(cap - j, len(costs)) + 1):
+                if costs[p - 1] <= v:
+                    return g_key, leg0 + 1, p
+    raise AssertionError("no close reaches a stored closed state")
+
+
 def _reconstruct(
     prep: _Prep,
     norm: Normalized,
     sweep: tuple[int, ...],
-    preds: list[dict[int, tuple]],
-    final_s: int,
+    steps: list[tuple[int, str, int, int, int]],
     value: Cost,
 ) -> Solution:
-    # Walk the predecessor records back from the closed final state with leg
-    # set final_s to the initial state...
-    shift_s = (2 * prep.r).bit_length()
-    records: list[tuple[int, tuple]] = []
-    layer = len(preds) - 1
-    key = final_s << shift_s
-    init_key = ((1 << prep.d_users) - 1) << shift_s
-    while not (layer == 0 and key == init_key):
-        rec = preds[layer][key]
-        records.append((layer, rec))
-        key = rec[1]
-        if rec[0] != "x":
-            layer -= 1
-    records.reverse()
-
-    # ...then replay them forward, materializing clusters as they complete.
+    # Replay the walked-back steps forward, materializing clusters as they
+    # complete...
     clusters: list[list[int]] = []
     ball: list[int] = []
-    for layer, rec in records:
-        tag = rec[0]
+    for layer, tag, _, leg, p in steps:
         if tag == "b":
             ball.append(sweep[layer - 1])
         elif tag == "c":
@@ -398,7 +485,6 @@ def _reconstruct(
             pos = sweep[layer - 1]
             _emit_suffix(prep, prep.legs[pos], prep.rank_in_leg[pos], clusters)
         else:  # "x"
-            leg, p = rec[2], rec[3]
             members = prep.leg_members[leg - 1]
             start = bisect_right(members, sweep[layer - 1])
             clusters.append(ball + members[start : start + p])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from spidergather import (
     validate_clustering,
     validate_gathering,
 )
+from spidergather import fpt_solver
 from spidergather.cli import bench_instance
 from spidergather.fpt_solver import StateCeilingExceeded, prune, run_dp
 from spidergather.model import SizeGuard, normalize
@@ -325,3 +328,95 @@ def test_state_ceiling_stops_the_sweep():
     assert isinstance(raised.value, SizeGuard)
     with pytest.raises(StateCeilingExceeded):
         solve(inst, CLUSTERING, max_states=10)
+
+
+# The closes only add states, so a layer whose "b", "c" and "d" steps already
+# pass the ceiling stops the sweep before its closes are costed. On this sweep
+# the count is 425 after the seventh layer, and the last layer's "b", "c" and
+# "d" steps bring it to 451; its closes add none.
+def test_state_ceiling_stops_a_layer_before_its_closes(monkeypatch):
+    inst = bench_instance(0, 8, users_per_leg=1, r=2, coord_bound=100)
+    last = prune(normalize(inst).instance)[-1]
+    costed = []
+    close_costs = fpt_solver._close_costs
+
+    def spy(prep, u_pos, leg0):
+        costed.append(u_pos)
+        return close_costs(prep, u_pos, leg0)
+
+    monkeypatch.setattr(fpt_solver, "_close_costs", spy)
+    with pytest.raises(StateCeilingExceeded, match="stored 451 states"):
+        run_dp(inst, CLUSTERING, want_solution=False, max_states=450)
+    assert costed and last not in costed
+
+
+# A value-only run holds two value layers and releases the previous one before
+# the closes grow the current one; a witness run keeps every layer. Holding
+# the previous layer through the closes reads about 0.49 of the witness run's
+# peak here, and keeping every layer about 1.
+def test_value_only_run_releases_the_previous_layer_before_closing():
+    inst = bench_instance(0, 12, users_per_leg=1, r=2, coord_bound=100)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for want_solution in (False, True):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_dp(inst, CLUSTERING, want_solution=want_solution)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 0.42 * peaks[1]
+
+
+def _walk_back_steps(monkeypatch):
+    """Record the steps of each witness walk-back, with "d" and "x" refined."""
+    seen = []
+    walk_back = fpt_solver._walk_back
+
+    def spy(prep, sweep, layers, final_key):
+        steps = walk_back(prep, sweep, layers, final_key)
+        mask_j = (1 << (2 * prep.r).bit_length()) - 1
+        for layer, tag, key, leg, _ in steps:
+            if tag == "d":
+                tag = "d-open" if key & mask_j else "d-closed"
+            elif tag == "x":
+                tag = "x-own" if leg == prep.legs[sweep[layer - 1]] else "x-other"
+            seen.append(tag)
+        return steps
+
+    monkeypatch.setattr(fpt_solver, "_walk_back", spy)
+    return seen
+
+
+# Witnesses rebuilt from the value layers alone. The walk-back on each of these
+# instances takes "b", "c", "d" from a closed ball and from an open one, and
+# "x" on a leg other than the swept user's. It never takes "x" on the swept
+# user's own leg: the sweep makes no such close, because "c" or "d" reaches
+# the same closed state at no higher value. A walk-back that takes "c"
+# without comparing values, or that looks for "x" on the swept user's leg
+# only, fails on both.
+@pytest.mark.parametrize(
+    "kind, inst",
+    [
+        (CLUSTERING, _spider(((2, 2), (3, 6), (2, 8), (3, 9), (3, 2), (2, 0), (1, 4)), r=2)),
+        (
+            GATHERING,
+            _spider(
+                ((4, 6), (3, 3), (4, 4), (4, 4), (2, 2), (1, 3), (4, 2), (3, 2)),
+                r=2,
+                facilities=((3, 8), (2, 6), (1, 4), (4, 9)),
+            ),
+        ),
+    ],
+)
+def test_walk_back_takes_every_step(monkeypatch, kind, inst):
+    if kind == CLUSTERING:
+        want, validate = brute_clustering(inst), validate_clustering
+    else:
+        want, validate = brute_gathering(inst), validate_gathering
+    seen = _walk_back_steps(monkeypatch)
+    run = run_dp(inst, kind)
+    assert run.value == want.value == enumerate_suffix_special(inst, kind)
+    assert validate(inst, run.solution) == run.value
+    assert set(seen) == {"b", "c", "d-closed", "d-open", "x-other"}
