@@ -9,12 +9,17 @@ optional "facilities"} with points as {"leg", "x"}; an arrears instance is
 Exit codes: 0 success, 1 infeasible instance or invalid solution, 2 parse or
 validation failure (including every other size guard), 3 construction larger
 than the configured user ceiling or DP over its state ceiling.
+
+main builds the argument parser on its first call and reuses it on every
+later call in the process. Parsing leaves the parser as it was, and
+in-process callers such as the tests and the benchmark call main many times.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -466,9 +471,18 @@ def bench_instance(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # Every size is checked before the CSV header is written. A range whose
+    # end lies below its start is empty and gives the header alone.
     low, high = _parse_range(args.legs_range)
-    if args.trials < 1:
-        raise MalformedInstanceError(f"--trials must be at least 1, got {args.trials}")
+    for flag, value, least in (
+        ("--legs-range start", low, 1),
+        ("--r", args.r, 1),
+        ("--users-per-leg", args.users_per_leg, 1),
+        ("--coord-bound", args.coord_bound, 0),
+        ("--trials", args.trials, 1),
+    ):
+        if value < least:
+            raise MalformedInstanceError(f"{flag} must be at least {least}, got {value}")
     max_states = _state_ceiling()
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -570,8 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built on the first."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ReductionTooLarge as exc:

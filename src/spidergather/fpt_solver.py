@@ -30,19 +30,24 @@ No ball is closed on the swept user's own leg, because another transition
 reaches the same closed state at no higher value.
 A grown ball ends at the swept user, so its close cost depends only on the
 leg and the segment size, and one table per layer holds the cheapest close
-for each ball size and leg. Nothing else reads which user the ball took
-last, so the state does not record it. A value-only sweep holds only the
-previous and the current value layer, and releases the previous one before
-it closes the current one. There are no predecessor tables: a witness run
-keeps every value layer instead, and reconstruction walks back through
-them, taking on each layer a transition whose recomputed value is the
-stored one.
+for each ball size and leg. An entry is the least of the leg's close costs
+over a window of segment sizes; the windows depend only on r and on how many
+costs the leg has, so they are computed once per run. Each entry holds its
+leg as a bit already shifted onto the S field of a key. Nothing else reads
+which user the ball took last, so the state does not record it. A
+value-only sweep holds only the previous and the current value layer, and
+releases the previous one before it closes the current one. There are no
+predecessor tables: a witness run keeps every value layer instead, and
+reconstruction walks back through them, taking on each layer a transition
+whose recomputed value is the stored one.
 
 The stored state count is what the parameter buys: each layer is keyed by
 subsets of legs times the 2r-1 ball sizes, and infeasible entries are never
 stored. run_dp raises StateCeilingExceeded once it has stored more than
-max_states states in all; it checks each layer before its closes as well as
-after, so the layer that crosses the ceiling is not closed.
+max_states states in all. It counts the keys that a layer must keep before
+it builds the layer, and checks again before the layer's closes and after
+them, so a layer whose kept keys cross the ceiling is not built, and one
+whose other steps cross it is not closed.
 """
 
 from __future__ import annotations
@@ -204,14 +209,15 @@ def run_dp(
     holds the previous and the current value layer, and releases the previous
     one once its "b", "c" and "d" steps are done, before the closes grow the
     current one. It counts the states as it goes and raises
-    StateCeilingExceeded once they pass max_states, checked before and after
-    each layer's closes. No layer stores a ball of 2r-1 users, nor an open
-    ball whose S holds no leg with a later swept user, so the final layer
-    holds closed states (S, 0) only and the optimum is the least of their
-    values. There are no predecessor tables: a witness run keeps every value
-    layer, so only a witness run grows with the sweep, and walks back from
-    the best closed final state, recomputing on each layer a transition that
-    attains the stored value.
+    StateCeilingExceeded once they pass max_states, checked before each layer
+    is built (counting the keys that "c" keeps) and before and after its
+    closes. No layer stores a ball of 2r-1 users, nor an open ball whose S
+    holds no leg with a later swept user, so the final layer holds closed
+    states (S, 0) only and the optimum is the least of their values. There
+    are no predecessor tables: a witness run keeps every value layer, so
+    only a witness run grows with the sweep, and walks back from the best
+    closed final state, recomputing on each layer a transition that attains
+    the stored value.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
@@ -233,12 +239,24 @@ def run_dp(
         live[i] = later << shift_s
         later |= 1 << (prep.legs[sweep[i]] - 1)
 
+    windows = _close_windows(r)
     prev: dict[int, Cost] = {full_s << shift_s: 0}
     layers: list[dict[int, Cost]] = []  # a witness run's finished value layers
     states = 1  # the initial layer
 
     for u_pos, live_u in zip(sweep, live):
         u_s = 1 << (prep.legs[u_pos] - 1 + shift_s)
+        # "c" keeps every key without u's leg and the layer only grows from
+        # there, so the sweep counts those keys as stored and stops before it
+        # builds a layer whose kept keys alone pass the ceiling. "b", "c" and
+        # "d" make at most two keys from each previous key, so only a layer
+        # that could pass the ceiling is counted.
+        if states + 2 * len(prev) > max_states:
+            kept = states + sum(1 for key in prev if not key & u_s)
+            if kept > max_states:
+                raise StateCeilingExceeded(
+                    f"sweep DP stored {kept} states, ceiling is {max_states}"
+                )
         cur: dict[int, Cost] = {}
         grown: list[int] = []  # keys of the balls that u joined, each once
 
@@ -313,7 +331,10 @@ def run_dp(
         #
         # best_close[j] lists, for a ball of j users, each other leg that can
         # take the segment with the cheapest max(close cost, leftover) over
-        # the admissible p, r-j <= p <= 2r-1-j.
+        # the admissible p, r-j <= p <= 2r-1-j: the minimum over j's window
+        # of the leg's close costs, from the windows computed once per run.
+        # Each leg is listed as its bit on the S field, so a grown key tests
+        # key & l_s and closes to (key - j) ^ l_s without unpacking S.
         best_close: list[list[tuple[int, Cost]]] = [[] for _ in range(cap)]
         u_leg0 = prep.legs[u_pos] - 1
         for leg0 in range(d_users):
@@ -322,18 +343,20 @@ def run_dp(
             costs = _close_costs(prep, u_pos, leg0)
             if not costs:
                 continue  # no user beyond u on this leg to close with
-            for j in range(1, cap):
-                best = min(costs[max(r - j, 1) - 1 : cap - j], default=INFEASIBLE)
+            l_s = 1 << (leg0 + shift_s)
+            for j, lo, hi in windows[len(costs)]:
+                best = min(costs[lo:hi])
                 if best != INFEASIBLE:
-                    best_close[j].append((1 << leg0, best))
+                    best_close[j].append((l_s, best))
 
         for key in grown:
             val = cur[key]
-            s = key >> shift_s
-            for l_bit, c in best_close[key & mask_j]:
-                if s & l_bit:
+            j = key & mask_j
+            closed = key - j
+            for l_s, c in best_close[j]:
+                if key & l_s:
                     nv = val if val >= c else c
-                    nkey = (s ^ l_bit) << shift_s
+                    nkey = closed ^ l_s
                     old = cur.get(nkey)
                     if old is None or nv < old:
                         cur[nkey] = nv
@@ -361,6 +384,25 @@ def run_dp(
     steps = _walk_back(prep, sweep, layers, best_key)
     solution = _reconstruct(prep, norm, sweep, steps, value)
     return DpRun(value, solution, stats)
+
+
+def _close_windows(r: int) -> list[list[tuple[int, int, int]]]:
+    """The slices of a close-cost list that each ball size may close with.
+
+    windows[L] holds (j, lo, hi) for each ball size j, 1 <= j <= 2r-2, whose
+    admissible segment sizes r-j <= p <= 2r-1-j meet a list of L close costs
+    (see _close_costs): the cheapest close of a ball of j users on that leg
+    is min(costs[lo:hi]). A j whose window misses the list is left out, so no
+    slice is empty.
+    """
+    cap = 2 * r - 1
+    windows: list[list[tuple[int, int, int]]] = [[] for _ in range(cap)]
+    for length in range(1, cap):
+        for j in range(1, cap):
+            lo, hi = max(r - j, 1) - 1, min(cap - j, length)
+            if lo < hi:
+                windows[length].append((j, lo, hi))
+    return windows
 
 
 def _close_costs(prep: _Prep, u_pos: int, leg0: int) -> list[Cost]:

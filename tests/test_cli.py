@@ -333,3 +333,59 @@ def test_bench_writes_file(tmp_path):
 def test_bench_rejects_zero_trials(capsys):
     assert main(["bench", "--legs-range", "2:2", "--trials", "0"]) == 2
     assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+# Bad bench sizes exit 2 with a message before any CSV is written.
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--coord-bound", "-5"], "--coord-bound must be at least 0"),
+        (["--r", "0"], "--r must be at least 1"),
+        (["--legs-range", "0:1"], "--legs-range start must be at least 1"),
+        (["--users-per-leg", "0"], "--users-per-leg must be at least 1"),
+    ],
+)
+def test_bench_bad_sizes_exit_two_before_output(capsys, flags, message):
+    assert main(["bench", "--legs-range", "2:2", "--trials", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_bench_bad_sizes_leave_no_out_file(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--r", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# main reuses one parser, built on its first call; each call parses afresh.
+def test_main_runs_again_after_help(arrears_file, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["solve", "--help"])
+    assert raised.value.code == 0
+    assert "--problem" in capsys.readouterr().out
+    assert main(["reduce", arrears_file, "--from", "arrears", "--to", "spider"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["solve", "x.json", "--problem", "median"], ["reduce", "x.json"], ["nope"]],
+)
+def test_main_runs_again_after_a_malformed_call(clustering_file, capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert capsys.readouterr().err
+    assert main(["solve", clustering_file]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": 2, "clusters": [[0, 1], [2, 3]]}
+
+
+# The gathering file solves to 1 as gathering and to 2 as clustering.
+def test_solve_flags_do_not_carry_over_between_calls(gathering_file, capsys):
+    assert main(["solve", gathering_file, "--problem", "gathering", "--no-prune"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["value"] == 1 and "facilities" in first
+    assert main(["solve", gathering_file]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["value"] == 2 and "facilities" not in second

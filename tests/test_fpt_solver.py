@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -348,6 +349,65 @@ def test_state_ceiling_stops_a_layer_before_its_closes(monkeypatch):
     with pytest.raises(StateCeilingExceeded, match="stored 451 states"):
         run_dp(inst, CLUSTERING, want_solution=False, max_states=450)
     assert costed and last not in costed
+
+
+# "c" keeps every key of the previous layer without the swept user's leg, and
+# the layer only grows from there, so the sweep counts those keys before it
+# builds a layer. On this sweep 357 states are stored after the sixth layer,
+# the seventh keeps 41 of them through "c", and its "b", "c" and "d" steps
+# bring the count to 413. A ceiling of 397 stops the sweep at 398, before the
+# seventh layer is built; counting the built layer would stop it at 413.
+def test_state_ceiling_stops_before_a_layer_whose_kept_keys_pass_it():
+    inst = bench_instance(0, 8, users_per_leg=1, r=2, coord_bound=100)
+    with pytest.raises(StateCeilingExceeded, match="stored 398 states"):
+        run_dp(inst, CLUSTERING, want_solution=False, max_states=397)
+    with pytest.raises(StateCeilingExceeded, match="stored 413 states"):
+        run_dp(inst, CLUSTERING, want_solution=False, max_states=398)
+
+
+# Stopping sooner changes where a run stops, not which runs stop: a ceiling
+# raises exactly when the whole sweep would store more states than it allows.
+@pytest.mark.parametrize("want_solution", [False, True])
+def test_state_ceiling_raises_exactly_when_the_sweep_passes_it(want_solution):
+    inst = bench_instance(0, 6, users_per_leg=2, r=2, coord_bound=100)
+    total = run_dp(inst, CLUSTERING, want_solution=want_solution).stats.states
+    for max_states in range(total + 2):
+        try:
+            run = run_dp(inst, CLUSTERING, want_solution=want_solution, max_states=max_states)
+        except StateCeilingExceeded:
+            assert max_states < total
+        else:
+            assert max_states >= total and run.stats.states == total
+
+
+# Each best-close row is the least close cost over one precomputed window of
+# segment sizes. Checked against the direct per-j minimum over the admissible
+# p, r-j <= p <= 2r-1-j, for every r up to 8 and every list length the sweep
+# can build, on cost lists that mix feasible and INFEASIBLE entries: every
+# list over three values up to length 6, and rotations of a mixed list beyond.
+@pytest.mark.parametrize("r", range(1, 9))
+def test_close_windows_give_the_per_size_minimum(r):
+    cap = 2 * r - 1
+    windows = fpt_solver._close_windows(r)
+    assert len(windows) == cap
+    pool = (3, 1, INFEASIBLE, 2, INFEASIBLE, 0, 5)
+    for length in range(1, cap):
+        lists = [
+            [pool[(start + i * step) % len(pool)] for i in range(length)]
+            for start in range(len(pool))
+            for step in (1, 2, 3)
+        ]
+        lists += [[INFEASIBLE] * length, [7] * length]
+        if length <= 6:
+            lists += [list(costs) for costs in itertools.product((0, 1, INFEASIBLE), repeat=length)]
+        for costs in lists:
+            rows = [INFEASIBLE] * cap
+            for j, lo, hi in windows[length]:
+                assert lo < hi
+                rows[j] = min(costs[lo:hi])
+            for j in range(1, cap):
+                want = min(costs[max(r - j, 1) - 1 : cap - j], default=INFEASIBLE)
+                assert rows[j] == want, (r, length, costs, j)
 
 
 # A value-only run holds two value layers and releases the previous one before
