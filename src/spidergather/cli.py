@@ -70,11 +70,15 @@ EXIT_INVALID = 2
 EXIT_TOO_LARGE = 3
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(obj: Any, key: str, where: str) -> int:
     if not isinstance(obj, dict) or key not in obj:
         raise MalformedInstanceError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise MalformedInstanceError(f"{where}: field {key!r} must be an integer")
     return value
 
@@ -367,16 +371,19 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("claimed infeasible, but the instance is feasible", file=sys.stderr)
         return EXIT_INFEASIBLE
 
+    if not _is_int(raw["value"]):
+        raise MalformedInstanceError('value must be an integer or "infeasible"')
     if not isinstance(raw["clusters"], list) or not all(
-        isinstance(c, list) for c in raw["clusters"]
+        isinstance(c, list) and all(_is_int(v) for v in c) for c in raw["clusters"]
     ):
         raise MalformedInstanceError("clusters must be a list of lists of user indices")
     clusters = tuple(tuple(c) for c in raw["clusters"])
     facility_of = None
     if raw.get("facilities") is not None:
-        if not isinstance(raw["facilities"], list):
+        facilities = raw["facilities"]
+        if not isinstance(facilities, list) or not all(_is_int(v) for v in facilities):
             raise MalformedInstanceError("facilities must be a list of facility indices")
-        facility_of = tuple(raw["facilities"])
+        facility_of = tuple(facilities)
     if kind == GATHERING and facility_of is None:
         raise MalformedInstanceError("a gathering solution needs a facilities list")
     if kind == CLUSTERING and facility_of is not None:

@@ -8,46 +8,33 @@ center, collected one by one during the sweep, at most 2r-1 of them) and a
 one step when the cluster closes). Once a leg stops participating, its
 remaining users are finished off by the single-leg suffix solver.
 
-The DP state after the i-th swept user is (S, j): S the set of legs still
+The DP state after the i-th swept user u is (S, j): S the set of legs still
 participating, j the size of the open ball. An optimal solution only ever
 needs ball users among the first min(n_l, (2r-1) d) users of each leg (there
 are at most d multi-leg clusters, each with fewer than 2r ball users), so the
 sweep visits just those; users beyond the cut can still appear in segments
-and suffix completions. A leg still participating after the sweep has put
-every swept user in a ball, which leaves it no unswept user, so the optimum
-is the least value among the closed states (S, 0) of the final layer.
+and suffix completions. From each state of the previous layer, u's layer
+takes "b" (u joins the ball), "c" (u's leg already retired: keep the state)
+and "d" (retire u's leg, finishing it single-leg from u); then it closes the
+balls that grew with u. No layer stores a ball of 2r-1 users (a close adds
+at least one segment user, and a cluster holds at most 2r-1) or an open ball
+whose S holds no leg with a later swept user (it can neither grow nor close
+again), so the final layer holds closed states only and the optimum is the
+least value among them.
 
-Two kinds of open ball are never stored, because neither can close: a ball
-of 2r-1 users (a close adds at least one segment user, and a cluster holds
-at most 2r-1), and an open ball whose S holds no leg with a swept user later
-in the sweep (it can neither grow nor close again). No leg has a later swept
-user on the final layer, so that layer holds closed states only.
+The stored-state count (SolveStats.states) is what the parameter buys: a
+layer is keyed by subsets of legs times the 2r-1 ball sizes. run_dp raises
+StateCeilingExceeded once the count passes max_states. It counts the keys
+that "c" keeps before it builds a layer, then the layer after its "b", "c"
+and "d" steps and again after its closes, so a layer whose kept keys pass
+the ceiling is not built, and one whose other steps pass it is not closed.
 
-Closing a cluster picks a segment on an active leg just beyond the swept
-user. Only the balls that grew with the swept user are closed on its layer:
-every other open ball was closed on an earlier layer with the same segments.
-No ball is closed on the swept user's own leg, because another transition
-reaches the same closed state at no higher value.
-A grown ball ends at the swept user, so its close cost depends only on the
-leg and the segment size, and one table per layer holds the cheapest close
-for each ball size and leg. An entry is the least of the leg's close costs
-over a window of segment sizes; the windows depend only on r and on how many
-costs the leg has, so they are computed once per run. Each entry holds its
-leg as a bit already shifted onto the S field of a key. Nothing else reads
-which user the ball took last, so the state does not record it. A
-value-only sweep holds only the previous and the current value layer, and
-releases the previous one before it closes the current one. There are no
-predecessor tables: a witness run keeps every value layer instead, and
-reconstruction walks back through them, taking on each layer a transition
-whose recomputed value is the stored one.
-
-The stored state count is what the parameter buys: each layer is keyed by
-subsets of legs times the 2r-1 ball sizes, and infeasible entries are never
-stored. run_dp raises StateCeilingExceeded once it has stored more than
-max_states states in all. It counts the keys that a layer must keep before
-it builds the layer, and checks again before the layer's closes and after
-them, so a layer whose kept keys cross the ceiling is not built, and one
-whose other steps cross it is not closed.
+Two engines run these transitions and store the same states. The dict DP
+maps each key S << shift_s | j to the least max cluster cost that reaches
+it; witness runs use it and walk back through its kept layers. A value-only
+run whose keys S << shift_s | j fit in BITSET_KEY_BITS bits uses the bitset
+engine (_bitset_value), which is faster where the layers are dense in that
+key space; larger key spaces hold few states per bit and stay on the dict DP.
 """
 
 from __future__ import annotations
@@ -77,6 +64,7 @@ GATHERING = "gathering"
 
 DEFAULT_ENUM_NODE_BUDGET = 5_000_000
 DEFAULT_STATE_CEILING = 1_000_000
+BITSET_KEY_BITS = 16
 
 
 class StateCeilingExceeded(SizeGuard):
@@ -201,23 +189,10 @@ def run_dp(
 ) -> DpRun:
     """Run the DP on any instance; see solve for the common entry point.
 
-    Each layer maps a state (S, j), packed as S << shift_s | j, to the least
-    max cluster cost of any way to reach it. With use_pruning=False the sweep
-    visits every user (useful as a self-check; the answer must not change).
-    With want_solution=False only the optimal value and stats are computed.
-    Both modes run the same transitions and store the same states. The sweep
-    holds the previous and the current value layer, and releases the previous
-    one once its "b", "c" and "d" steps are done, before the closes grow the
-    current one. It counts the states as it goes and raises
-    StateCeilingExceeded once they pass max_states, checked before each layer
-    is built (counting the keys that "c" keeps) and before and after its
-    closes. No layer stores a ball of 2r-1 users, nor an open ball whose S
-    holds no leg with a later swept user, so the final layer holds closed
-    states (S, 0) only and the optimum is the least of their values. There
-    are no predecessor tables: a witness run keeps every value layer, so
-    only a witness run grows with the sweep, and walks back from the best
-    closed final state, recomputing on each layer a transition that attains
-    the stored value.
+    With use_pruning=False the sweep visits every user (useful as a
+    self-check; the answer must not change). With want_solution=False only
+    the optimal value and stats are computed. The module docstring says
+    which engine runs, and when StateCeilingExceeded is raised.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
@@ -227,18 +202,14 @@ def run_dp(
 
     sweep = prune(norm.instance) if use_pruning else tuple(range(n))
     shift_s = (2 * r).bit_length()
+    if not want_solution and d_users + shift_s <= BITSET_KEY_BITS:
+        value, states = _bitset_value(prep, sweep, max_states)
+        return DpRun(value, None, SolveStats(states, len(sweep), d_users))
+
+    live = _live(prep, sweep, 1 << shift_s)
     mask_j = (1 << shift_s) - 1
     full_s = (1 << d_users) - 1
     cap = 2 * r - 1
-
-    # live[i]: the legs with a swept user after sweep[i], on the S field. An
-    # open ball whose S misses them can neither grow nor close again.
-    live = [0] * len(sweep)
-    later = 0
-    for i in range(len(sweep) - 1, -1, -1):
-        live[i] = later << shift_s
-        later |= 1 << (prep.legs[sweep[i]] - 1)
-
     windows = _close_windows(r)
     prev: dict[int, Cost] = {full_s << shift_s: 0}
     layers: list[dict[int, Cost]] = []  # a witness run's finished value layers
@@ -246,17 +217,12 @@ def run_dp(
 
     for u_pos, live_u in zip(sweep, live):
         u_s = 1 << (prep.legs[u_pos] - 1 + shift_s)
-        # "c" keeps every key without u's leg and the layer only grows from
-        # there, so the sweep counts those keys as stored and stops before it
-        # builds a layer whose kept keys alone pass the ceiling. "b", "c" and
-        # "d" make at most two keys from each previous key, so only a layer
-        # that could pass the ceiling is counted.
+        # "b", "c" and "d" make at most two keys from each previous key, so
+        # only a layer that could pass the ceiling counts the keys "c" keeps.
         if states + 2 * len(prev) > max_states:
             kept = states + sum(1 for key in prev if not key & u_s)
             if kept > max_states:
-                raise StateCeilingExceeded(
-                    f"sweep DP stored {kept} states, ceiling is {max_states}"
-                )
+                raise _ceiling(kept, max_states)
         cur: dict[int, Cost] = {}
         grown: list[int] = []  # keys of the balls that u joined, each once
 
@@ -283,17 +249,13 @@ def run_dp(
                 if key not in cur or val < cur[key]:
                     cur[key] = val
 
-        # The previous layer is released before the closes grow this one; a
-        # witness run keeps it for the walk-back. The closes only add states,
-        # so a layer whose "b", "c" and "d" states pass the ceiling stops the
-        # sweep before it is closed.
+        # A witness run keeps the previous layer for _walk_back; a value-only
+        # run releases it before the closes grow this one.
         if want_solution:
             layers.append(prev)
         prev = cur
         if states + len(cur) > max_states:
-            raise StateCeilingExceeded(
-                f"sweep DP stored {states + len(cur)} states, ceiling is {max_states}"
-            )
+            raise _ceiling(states + len(cur), max_states)
 
         # Close the open cluster with a segment of p users on an active leg
         # just beyond u. Only the balls that grew with u are closed. Any other
@@ -312,12 +274,10 @@ def run_dp(
         # layer holds closed states only. Two open balls with the same (S, j)
         # have the same future, so the layer keeps only the cheaper one.
         #
-        # No layer stores a ball of 2r-1 users, nor an open ball whose S holds
-        # no leg with a later swept user; the last layer has no such leg, so
-        # it stores closed states only. Such a ball has no close on this layer
-        # either, so "b" drops it at once: by the count above, every user of
-        # an active leg up to prune's cut is swept, so a leg of S with a user
-        # beyond u has a later swept user.
+        # An open ball whose S holds no leg with a later swept user has no
+        # close on this layer either, so "b" drops it at once: by the count
+        # above, every user of an active leg up to prune's cut is swept, so a
+        # leg of S with a user beyond u has a later swept user.
         #
         # No ball is closed on u's own leg, because "c" or "d" reaches the
         # same closed state at no higher value. A ball of u alone closed there
@@ -328,27 +288,7 @@ def run_dp(
         # earlier one by the same argument, and that closed state reaches this
         # layer through "c": both close costs grow with the ball's last
         # coordinate, so moving it back from u costs no more.
-        #
-        # best_close[j] lists, for a ball of j users, each other leg that can
-        # take the segment with the cheapest max(close cost, leftover) over
-        # the admissible p, r-j <= p <= 2r-1-j: the minimum over j's window
-        # of the leg's close costs, from the windows computed once per run.
-        # Each leg is listed as its bit on the S field, so a grown key tests
-        # key & l_s and closes to (key - j) ^ l_s without unpacking S.
-        best_close: list[list[tuple[int, Cost]]] = [[] for _ in range(cap)]
-        u_leg0 = prep.legs[u_pos] - 1
-        for leg0 in range(d_users):
-            if leg0 == u_leg0:
-                continue
-            costs = _close_costs(prep, u_pos, leg0)
-            if not costs:
-                continue  # no user beyond u on this leg to close with
-            l_s = 1 << (leg0 + shift_s)
-            for j, lo, hi in windows[len(costs)]:
-                best = min(costs[lo:hi])
-                if best != INFEASIBLE:
-                    best_close[j].append((l_s, best))
-
+        best_close = _best_close(prep, u_pos, windows, 1 << shift_s)
         for key in grown:
             val = cur[key]
             j = key & mask_j
@@ -363,9 +303,7 @@ def run_dp(
 
         states += len(cur)
         if states > max_states:
-            raise StateCeilingExceeded(
-                f"sweep DP stored {states} states, ceiling is {max_states}"
-            )
+            raise _ceiling(states, max_states)
 
     # Every state of the final layer is closed. A leg still active in one has
     # put every swept user in one of at most d-1 closed balls of at most 2r-2
@@ -384,6 +322,152 @@ def run_dp(
     steps = _walk_back(prep, sweep, layers, best_key)
     solution = _reconstruct(prep, norm, sweep, steps, value)
     return DpRun(value, solution, stats)
+
+
+def _ceiling(states: int, max_states: int) -> StateCeilingExceeded:
+    return StateCeilingExceeded(f"sweep DP stored {states} states, ceiling is {max_states}")
+
+
+def _live(prep: _Prep, sweep: tuple[int, ...], unit: int) -> list[int]:
+    """live[i]: the legs with a swept user after sweep[i], as S times unit."""
+    live = [0] * len(sweep)
+    later = 0
+    for i in range(len(sweep) - 1, -1, -1):
+        live[i] = later * unit
+        later |= 1 << (prep.legs[sweep[i]] - 1)
+    return live
+
+
+def _best_close(
+    prep: _Prep, u_pos: int, windows: list[list[tuple[int, int, int]]], unit: int
+) -> list[list[tuple[int, Cost]]]:
+    """The cheapest closes of the balls that end at u_pos, by ball size.
+
+    Row j lists (l_s, cost) for each leg other than u_pos's that can take the
+    segment of a ball of j users: cost is the least max(close cost, leftover)
+    over the admissible p, r-j <= p <= 2r-1-j, the minimum over j's window of
+    the leg's close costs. l_s is the leg's S bit times unit, the step of the
+    leg in a key, so the close of a grown key (S, j) reaches key - j - l_s.
+    """
+    best_close: list[list[tuple[int, Cost]]] = [[] for _ in range(2 * prep.r - 1)]
+    u_leg0 = prep.legs[u_pos] - 1
+    for leg0 in range(prep.d_users):
+        if leg0 == u_leg0:
+            continue
+        costs = _close_costs(prep, u_pos, leg0)
+        if not costs:
+            continue  # no user beyond u on this leg to close with
+        l_s = unit << leg0
+        for j, lo, hi in windows[len(costs)]:
+            best = min(costs[lo:hi])
+            if best != INFEASIBLE:
+                best_close[j].append((l_s, best))
+    return best_close
+
+
+def _bitset_value(prep: _Prep, sweep: tuple[int, ...], max_states: int) -> tuple[Cost, int]:
+    """The optimum and the stored-state count of a value-only run, by bitsets.
+
+    A layer is one int with bit S * (2r-1) + j set for each stored state (S, j),
+    denser than the dict DP's keys, whose j field has 2^shift_s values for
+    2r-1 sizes. Each transition moves keys by one offset, so it is a shift and
+    a mask per layer. With A = L & M_u the keys of layer L that hold u's leg,
+    "c" keeps L ^ A, "b" is ((A & J_grow) << 1) & LIVE, "d" is
+    (A >> u_s) & (J_0 | LIVE), and the closes on leg l of the grown balls of
+    size j are (B & J_j & M_l) >> (j + l_s), where B is the "b" result.
+    LIVE holds the keys whose S has a leg with a later swept user; its
+    complement grows by one shift when a leg's last swept user passes.
+
+    A bitset holds no values. One unbounded pass takes "d" and the closes only
+    at finite costs, as the dict DP stores finite values only, so it reaches
+    exactly the dict DP's keys: it counts and checks them at the same points,
+    and builds each best-close table after its layer's "b", "c" and "d" check.
+    The optimum is the least bound T at which a pass that refuses every step
+    costing more than T still reaches the final layer. T is 0, a finite
+    r_minus or a best-close cost, so a binary search over those finds it.
+    """
+    r, d_users, legs = prep.r, prep.d_users, prep.legs
+    cap = 2 * r - 1
+    size = cap << d_users
+    every = (1 << size) - 1
+
+    def tile(pattern: int, period: int) -> int:
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        return pattern & every
+
+    leg_mask = {}
+    for leg0 in range(d_users):
+        l_s = cap << leg0
+        leg_mask[l_s] = tile(((1 << l_s) - 1) << l_s, 2 * l_s)
+    j_mask = [tile(1 << j, cap) for j in range(cap)]
+    grow = tile((1 << (cap - 1)) - 1, cap)
+    full_s = ((1 << d_users) - 1) * cap
+    live = _live(prep, sweep, cap)
+    r_minus = [prep.r_minus(u_pos) for u_pos in sweep]
+    windows = _close_windows(r)
+    tables: list[list[list[tuple[int, Cost]]]] = []
+
+    def sweep_at(bound: Cost) -> tuple[int, int]:
+        first = not tables
+        layer, states, count = 1 << full_s, 1, 1
+        dead, was = (1 << cap) - 1, full_s
+        alive = every ^ dead
+        keep_d = j_mask[0] | alive
+        for i, u_pos in enumerate(sweep):
+            if live[i] != was:
+                dead |= dead << (was - live[i])
+                was = live[i]
+                alive = every ^ dead
+                keep_d = j_mask[0] | alive
+            u_s = cap << (legs[u_pos] - 1)
+            a = layer & leg_mask[u_s]
+            if first and states + 2 * count > max_states:
+                kept = states + count - a.bit_count()
+                if kept > max_states:
+                    raise _ceiling(kept, max_states)
+            b = ((a & grow) << 1) & alive
+            cur = (layer ^ a) | b
+            if r_minus[i] != INFEASIBLE and r_minus[i] <= bound:
+                cur |= (a >> u_s) & keep_d
+            if first:
+                built = states + cur.bit_count()
+                if built > max_states:
+                    raise _ceiling(built, max_states)
+                tables.append(_best_close(prep, u_pos, windows, cap))
+            for j, row in enumerate(tables[i]):
+                b_j = b & j_mask[j] if row else 0
+                if b_j:
+                    for l_s, c in row:
+                        if c <= bound:
+                            cur |= (b_j & leg_mask[l_s]) >> (j + l_s)
+            layer = cur
+            if first:
+                count = cur.bit_count()
+                states += count
+                if states > max_states:
+                    raise _ceiling(states, max_states)
+            if not layer:
+                break
+        return layer, states
+
+    final, states = sweep_at(INFEASIBLE)
+    if not final:
+        return INFEASIBLE, states
+    cands = sorted(
+        {0}
+        | {v for v in r_minus if v != INFEASIBLE}
+        | {c for table in tables for row in table for _, c in row}
+    )
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sweep_at(cands[mid])[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo], states
 
 
 def _close_windows(r: int) -> list[list[tuple[int, int, int]]]:

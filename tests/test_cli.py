@@ -131,6 +131,46 @@ def test_check_malformed_solution_exits_two(clustering_file, tmp_path, capsys, s
     assert "must be a list" in capsys.readouterr().err
 
 
+# JSON booleans are not the indices 0 and 1, and a value or index must be an
+# integer: each is malformed input (exit 2), not a wrong solution (exit 1).
+# With booleans read as integers, the first solution validates at 2.
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        ({"value": 2, "clusters": [[False, True], [2, 3]]}, "lists of user indices"),
+        ({"value": 2, "clusters": [[0, 1.5], [2, 3]]}, "lists of user indices"),
+        ({"value": "abc", "clusters": [[0, 1], [2, 3]]}, "value must be an integer"),
+        ({"value": 7.5, "clusters": [[0, 1], [2, 3]]}, "value must be an integer"),
+        ({"value": True, "clusters": [[0, 1], [2, 3]]}, "value must be an integer"),
+    ],
+)
+def test_check_non_integer_solution_exits_two(
+    clustering_file, tmp_path, capsys, solution, message
+):
+    sol = _write(tmp_path / "typed.json", solution)
+    assert main(["check", clustering_file, sol]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_check_boolean_facility_exits_two(gathering_file, tmp_path, capsys):
+    sol = _write(
+        tmp_path / "typed.json",
+        {"value": 1, "clusters": [[0, 1], [2, 3]], "facilities": [False, True]},
+    )
+    assert main(["check", gathering_file, sol, "--problem", "gathering"]) == 2
+    assert "list of facility indices" in capsys.readouterr().err
+
+
+def test_check_rejects_booleans_in_a_solved_spider(tmp_path, capsys):
+    assert main(["gen", "--kind", "spider", "--users", "8", "--legs", "3", "--seed", "1"]) == 0
+    inst = _write(tmp_path / "spider.json", json.loads(capsys.readouterr().out))
+    assert main(["solve", inst]) == 0
+    solution = json.loads(capsys.readouterr().out)
+    flags = {0: False, 1: True}
+    solution["clusters"] = [[flags.get(i, i) for i in c] for c in solution["clusters"]]
+    assert main(["check", inst, _write(tmp_path / "sol.json", solution)]) == 2
+
+
 def test_check_confirms_infeasible_claim(tmp_path, capsys):
     inst = _write(
         tmp_path / "short.json",

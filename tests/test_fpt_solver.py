@@ -4,7 +4,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spidergather import (
     CLUSTERING,
@@ -378,6 +378,36 @@ def test_state_ceiling_raises_exactly_when_the_sweep_passes_it(want_solution):
             assert max_states < total
         else:
             assert max_states >= total and run.stats.states == total
+
+
+def _outcome(inst, kind, want_solution, use_pruning, max_states):
+    try:
+        run = run_dp(
+            inst, kind, want_solution=want_solution, use_pruning=use_pruning, max_states=max_states
+        )
+    except StateCeilingExceeded as exc:
+        return str(exc)
+    return run.value, run.stats
+
+
+# A value-only run on a small key space takes the bitset engine, a witness run
+# the dict DP. Both store the same states, so they agree on the value, the
+# stats and the message of every ceiling. A bitset pass that took "d" at an
+# infinite r_minus (INFEASIBLE <= INFEASIBLE holds) would store 45 states on
+# the @example, where the dict DP stores 19.
+@given(
+    spider_instances(max_legs=5, max_users=10, max_x=60, with_facilities=True),
+    st.sampled_from([CLUSTERING, GATHERING]),
+    st.booleans(),
+)
+@example(bench_instance(0, 4, users_per_leg=1, r=2, coord_bound=100), CLUSTERING, True)
+def test_bitset_engine_agrees_with_the_dict_dp(inst, kind, use_pruning):
+    d_users = len({p.leg for p in inst.users})
+    assert d_users + (2 * inst.r).bit_length() <= fpt_solver.BITSET_KEY_BITS
+    full = _outcome(inst, kind, True, use_pruning, fpt_solver.DEFAULT_STATE_CEILING)
+    for max_states in [fpt_solver.DEFAULT_STATE_CEILING, *range(full[1].states + 1)]:
+        want = _outcome(inst, kind, True, use_pruning, max_states)
+        assert _outcome(inst, kind, False, use_pruning, max_states) == want, max_states
 
 
 # Each best-close row is the least close cost over one precomputed window of
