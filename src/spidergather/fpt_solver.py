@@ -32,9 +32,10 @@ the ceiling is not built, and one whose other steps pass it is not closed.
 Two engines run these transitions and store the same states. The dict DP
 maps each key S << shift_s | j to the least max cluster cost that reaches
 it; witness runs use it and walk back through its kept layers. A value-only
-run whose keys S << shift_s | j fit in BITSET_KEY_BITS bits uses the bitset
-engine (_bitset_value), which is faster where the layers are dense in that
-key space; larger key spaces hold few states per bit and stay on the dict DP.
+run takes the bitset engine (_bitset_value), whose layers are (2r-1) 2^d
+bits wide, when r > 1, the sweep holds at least r/2 users per leg and that
+width lies in BITSET_BITS. Elsewhere its layers were measured to hold too few
+states to pay for it, or its masks, a layer-wide int per leg, pass a few MB.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ GATHERING = "gathering"
 
 DEFAULT_ENUM_NODE_BUDGET = 5_000_000
 DEFAULT_STATE_CEILING = 1_000_000
-BITSET_KEY_BITS = 16
+BITSET_BITS = (1 << 9, 1 << 21)  # least and most bits of a bitset layer
 
 
 class StateCeilingExceeded(SizeGuard):
@@ -202,7 +203,7 @@ def run_dp(
 
     sweep = prune(norm.instance) if use_pruning else tuple(range(n))
     shift_s = (2 * r).bit_length()
-    if not want_solution and d_users + shift_s <= BITSET_KEY_BITS:
+    if not want_solution and _bitsets_pay(r, d_users, len(sweep)):
         value, states = _bitset_value(prep, sweep, max_states)
         return DpRun(value, None, SolveStats(states, len(sweep), d_users))
 
@@ -322,6 +323,11 @@ def run_dp(
     steps = _walk_back(prep, sweep, layers, best_key)
     solution = _reconstruct(prep, norm, sweep, steps, value)
     return DpRun(value, solution, stats)
+
+
+def _bitsets_pay(r: int, d_users: int, swept: int) -> bool:
+    low, high = BITSET_BITS
+    return r > 1 and 2 * swept >= r * d_users and low <= (2 * r - 1) << d_users <= high
 
 
 def _ceiling(states: int, max_states: int) -> StateCeilingExceeded:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -390,11 +391,11 @@ def _outcome(inst, kind, want_solution, use_pruning, max_states):
     return run.value, run.stats
 
 
-# A value-only run on a small key space takes the bitset engine, a witness run
-# the dict DP. Both store the same states, so they agree on the value, the
-# stats and the message of every ceiling. A bitset pass that took "d" at an
-# infinite r_minus (INFEASIBLE <= INFEASIBLE holds) would store 45 states on
-# the @example, where the dict DP stores 19.
+# A value-only run forced onto the bitset engine and a witness run on the dict
+# DP store the same states, so they agree on the value, the stats and the
+# message of every ceiling. A bitset pass that took "d" at an infinite r_minus
+# (INFEASIBLE <= INFEASIBLE holds) would store 45 states on the @example,
+# where the dict DP stores 19.
 @given(
     spider_instances(max_legs=5, max_users=10, max_x=60, with_facilities=True),
     st.sampled_from([CLUSTERING, GATHERING]),
@@ -402,12 +403,33 @@ def _outcome(inst, kind, want_solution, use_pruning, max_states):
 )
 @example(bench_instance(0, 4, users_per_leg=1, r=2, coord_bound=100), CLUSTERING, True)
 def test_bitset_engine_agrees_with_the_dict_dp(inst, kind, use_pruning):
-    d_users = len({p.leg for p in inst.users})
-    assert d_users + (2 * inst.r).bit_length() <= fpt_solver.BITSET_KEY_BITS
     full = _outcome(inst, kind, True, use_pruning, fpt_solver.DEFAULT_STATE_CEILING)
     for max_states in [fpt_solver.DEFAULT_STATE_CEILING, *range(full[1].states + 1)]:
         want = _outcome(inst, kind, True, use_pruning, max_states)
-        assert _outcome(inst, kind, False, use_pruning, max_states) == want, max_states
+        with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=True) as rule:
+            assert _outcome(inst, kind, False, use_pruning, max_states) == want, max_states
+        assert rule.called or inst.users == ()
+
+
+# The engine rule on shapes timed on both engines, value-only, bitset time
+# over dict DP time: r=2 with one user per leg from the first to the last row
+# of bench's default table (0.84 and 0.30), r=3 with ten (0.11), and shapes
+# whose sparse layers make bitsets slower, r=3 and r=5 with one user per leg
+# (1.20 and 3.78), r=5 with two (0.91 to 1.28).
+@pytest.mark.parametrize(
+    "d, per_leg, r, bitsets",
+    [(8, 1, 2, True), (14, 1, 2, True), (10, 10, 3, True),
+     (10, 1, 3, False), (12, 1, 5, False), (10, 2, 5, False)],
+)
+def test_engine_rule_on_timed_shapes(monkeypatch, d, per_leg, r, bitsets):
+    calls = []
+    bitset_value = fpt_solver._bitset_value
+    monkeypatch.setattr(
+        fpt_solver, "_bitset_value", lambda *args: calls.append(1) or bitset_value(*args)
+    )
+    inst = bench_instance(0, d, users_per_leg=per_leg, r=r, coord_bound=100)
+    run_dp(inst, CLUSTERING, want_solution=False)
+    assert bool(calls) == bitsets
 
 
 # Each best-close row is the least close cost over one precomputed window of
@@ -457,6 +479,14 @@ def test_value_only_run_releases_the_previous_layer_before_closing():
     finally:
         tracemalloc.stop()
     assert peaks[0] < 0.42 * peaks[1]
+
+
+# The same release on the dict DP, which value-only runs outside the bitset
+# engine's rule take (bench past its widest layers, check of an "infeasible"
+# claim on a large spider).
+def test_dict_value_only_run_releases_the_previous_layer_before_closing(monkeypatch):
+    monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: False)
+    test_value_only_run_releases_the_previous_layer_before_closing()
 
 
 def _walk_back_steps(monkeypatch):
