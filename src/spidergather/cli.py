@@ -215,9 +215,12 @@ def _env_int(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise MalformedInstanceError(f"{name} must be an integer, got {raw!r}") from exc
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise MalformedInstanceError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 def _state_ceiling() -> int:

@@ -31,11 +31,10 @@ the ceiling is not built, and one whose other steps pass it is not closed.
 
 Two engines run these transitions and store the same states. The dict DP
 maps each key S << shift_s | j to the least max cluster cost that reaches
-it; witness runs use it and walk back through its kept layers. A value-only
-run takes the bitset engine (_bitset_value), whose layers are (2r-1) 2^d
-bits wide, when r > 1, the sweep holds at least r/2 users per leg and that
-width lies in BITSET_BITS. Elsewhere its layers were measured to hold too few
-states to pay for it, or its masks, a layer-wide int per leg, pass a few MB.
+it. The bitset engine (_bitset_value) runs when r > 1, the sweep holds at
+least r/2 users per leg and its (2r-1) 2^d-bit layers fit BITSET_BITS;
+elsewhere they hold too few states to pay, or its masks pass a few MB. A
+witness run of either engine walks back (_walk) through the layers it kept.
 """
 
 from __future__ import annotations
@@ -203,9 +202,16 @@ def run_dp(
 
     sweep = prune(norm.instance) if use_pruning else tuple(range(n))
     shift_s = (2 * r).bit_length()
-    if not want_solution and _bitsets_pay(r, d_users, len(sweep)):
-        value, states = _bitset_value(prep, sweep, max_states)
-        return DpRun(value, None, SolveStats(states, len(sweep), d_users))
+    if _bitsets_pay(r, d_users, len(sweep)):
+        kept: Optional[list[int]] = [] if want_solution else None
+        value, states = _bitset_value(prep, sweep, max_states, kept)
+        stats = SolveStats(states, len(sweep), d_users)
+        if value == INFEASIBLE or kept is None:
+            return DpRun(value, None, stats)
+        final = kept[-1]
+        steps = _walk(prep, sweep, kept, (final & -final).bit_length() - 1, 2 * r - 1, value,
+                      lambda layer, key: bool(layer >> key & 1))
+        return DpRun(value, _reconstruct(prep, norm, sweep, steps, value), stats)
 
     live = _live(prep, sweep, 1 << shift_s)
     mask_j = (1 << shift_s) - 1
@@ -371,8 +377,10 @@ def _best_close(
     return best_close
 
 
-def _bitset_value(prep: _Prep, sweep: tuple[int, ...], max_states: int) -> tuple[Cost, int]:
-    """The optimum and the stored-state count of a value-only run, by bitsets.
+def _bitset_value(
+    prep: _Prep, sweep: tuple[int, ...], max_states: int, layers: Optional[list[int]]
+) -> tuple[Cost, int]:
+    """The optimum and the stored-state count of a run, by bitsets.
 
     A layer is one int with bit S * (2r-1) + j set for each stored state (S, j),
     denser than the dict DP's keys, whose j field has 2^shift_s values for
@@ -388,9 +396,10 @@ def _bitset_value(prep: _Prep, sweep: tuple[int, ...], max_states: int) -> tuple
     at finite costs, as the dict DP stores finite values only, so it reaches
     exactly the dict DP's keys: it counts and checks them at the same points,
     and builds each best-close table after its layer's "b", "c" and "d" check.
-    The optimum is the least bound T at which a pass that refuses every step
-    costing more than T still reaches the final layer. T is 0, a finite
-    r_minus or a best-close cost, so a binary search over those finds it.
+    The optimum is the least T, 0, a finite r_minus or a best-close cost, at
+    which a pass that refuses every step costing more than T still reaches
+    the final layer: a binary search finds it. Given a list, layers, one more
+    pass at T fills it with its layers, the initial one first.
     """
     r, d_users, legs = prep.r, prep.d_users, prep.legs
     cap = 2 * r - 1
@@ -415,7 +424,7 @@ def _bitset_value(prep: _Prep, sweep: tuple[int, ...], max_states: int) -> tuple
     windows = _close_windows(r)
     tables: list[list[list[tuple[int, Cost]]]] = []
 
-    def sweep_at(bound: Cost) -> tuple[int, int]:
+    def sweep_at(bound: Cost, keep: bool = False) -> tuple[int, int]:
         first = not tables
         layer, states, count = 1 << full_s, 1, 1
         dead, was = (1 << cap) - 1, full_s
@@ -449,6 +458,8 @@ def _bitset_value(prep: _Prep, sweep: tuple[int, ...], max_states: int) -> tuple
                         if c <= bound:
                             cur |= (b_j & leg_mask[l_s]) >> (j + l_s)
             layer = cur
+            if keep:
+                layers.append(layer)
             if first:
                 count = cur.bit_count()
                 states += count
@@ -473,6 +484,9 @@ def _bitset_value(prep: _Prep, sweep: tuple[int, ...], max_states: int) -> tuple
             hi = mid
         else:
             lo = mid + 1
+    if layers is not None:
+        layers.append(1 << full_s)
+        sweep_at(cands[lo], keep=True)
     return cands[lo], states
 
 
@@ -529,70 +543,75 @@ def _emit_suffix(prep: _Prep, leg: int, start_rank: int, clusters: list[list[int
 def _walk_back(
     prep: _Prep, sweep: tuple[int, ...], layers: list[dict[int, Cost]], final_key: int
 ) -> list[tuple[int, str, int, int, int]]:
-    """The transitions that reach final_key on the last layer, first to last.
+    """_walk on the dict DP's value layers, from final_key at its value."""
+    bound = layers[-1][final_key]
+    return _walk(prep, sweep, layers, final_key, 1 << (2 * prep.r).bit_length(), bound,
+                 lambda layer, key: layer.get(key, INFEASIBLE) <= bound)
 
-    Each step is (layer, tag, key, leg, p): the key it reaches on that layer,
-    and for a close "x" its leg and segment size. A stored value v is the
-    least over the transitions into its key, so any transition from a stored
-    state whose recomputed value is at most v attains v; the walk takes the
-    first one it finds.
+
+def _walk(
+    prep: _Prep,
+    sweep: tuple[int, ...],
+    layers: list,
+    key: int,
+    unit: int,
+    bound: Cost,
+    has: Callable[..., bool],
+) -> list[tuple[int, str, int, int, int]]:
+    """The steps that reach key, S * unit + j, on the last layer, first to last.
+
+    A step is (layer, tag, key, leg, p): the key it reaches there and a close's
+    leg and segment size. has(layer, key) holds if the layer reaches key at value
+    at most bound, the optimum: any step at most bound from a key below will do.
     """
-    shift_s = (2 * prep.r).bit_length()
-    mask_j = (1 << shift_s) - 1
     steps: list[tuple[int, str, int, int, int]] = []
-    key = final_key
     for i in range(len(layers) - 1, 0, -1):
         u_pos = sweep[i - 1]
-        u_s = 1 << (prep.legs[u_pos] - 1 + shift_s)
-        layer, below = layers[i], layers[i - 1]
-        v = layer[key]
-        if not key & u_s:  # "c" keeps the key, "d" retires u's leg from it
-            if below.get(key, INFEASIBLE) <= v:
+        leg0 = prep.legs[u_pos] - 1
+        s, j = divmod(key, unit)
+        if not s >> leg0 & 1:  # "c" keeps the key, "d" retires u's leg from it
+            if has(layers[i - 1], key):
                 steps.append((i, "c", key, 0, 0))
                 continue
             # No close is made on u's own leg, so "d" is the only other way.
-            nv = max(below.get(key + u_s, INFEASIBLE), prep.r_minus(u_pos))
-            assert nv <= v, "no transition reaches a stored state"
             steps.append((i, "d", key, 0, 0))
-            key += u_s
+            key += unit << leg0
+            assert has(layers[i - 1], key) and prep.r_minus(u_pos) <= bound, "no step reaches a key"
             continue
-        if not key & mask_j:  # a closed key that holds u's leg closed a grown ball
-            g_key, leg, p = _close_into(prep, layer, key, u_pos, v)
+        if not j:  # a closed key that holds u's leg closed a grown ball
+            g_key, leg, p = _close_into(prep, layers[i], s, u_pos, unit, bound, has)
             steps.append((i, "x", key, leg, p))
             key = g_key
         # Only "b" makes an open key that holds u's leg: the ball grew with u.
-        assert key & u_s and key & mask_j, "no transition reaches a stored state"
+        assert key % unit, "no step reaches a key"
         steps.append((i, "b", key, 0, 0))
         key -= 1
-    assert key == next(iter(layers[0])), "walk-back missed the initial state"
+    assert has(layers[0], key), "walk-back missed the initial state"
     steps.reverse()
     return steps
 
 
 def _close_into(
-    prep: _Prep, layer: dict[int, Cost], key: int, u_pos: int, v: Cost
+    prep: _Prep, layer: object, s: int, u_pos: int, unit: int, bound: Cost, has: Callable[..., bool]
 ) -> tuple[int, int, int]:
-    """A close on u_pos's layer that reaches the closed key at value at most v.
+    """A close at cost at most bound on u_pos's layer into the closed key of S = s.
 
-    The key holds u's leg. Returns the grown key (S + l, j) that the close
-    takes, with l a leg outside S and 1 <= j <= 2r-2, the leg l and the
-    segment size p.
+    S holds u's leg. Returns the grown key (S + l, j) on the layer that the
+    close takes, l a leg outside S and 1 <= j <= 2r-2, with l and segment size p.
     """
     r, cap = prep.r, 2 * prep.r - 1
-    shift_s = (2 * r).bit_length()
-    s = key >> shift_s
     for leg0 in range(prep.d_users):
         if s >> leg0 & 1:
             continue
         costs = None
         for j in range(1, cap):
-            g_key = (s | 1 << leg0) << shift_s | j
-            if layer.get(g_key, INFEASIBLE) > v:
+            g_key = (s | 1 << leg0) * unit + j
+            if not has(layer, g_key):
                 continue
             if costs is None:
                 costs = _close_costs(prep, u_pos, leg0)
             for p in range(max(r - j, 1), min(cap - j, len(costs)) + 1):
-                if costs[p - 1] <= v:
+                if costs[p - 1] <= bound:
                     return g_key, leg0 + 1, p
     raise AssertionError("no close reaches a stored closed state")
 

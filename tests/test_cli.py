@@ -293,6 +293,31 @@ def test_solve_bad_state_ceiling_exits_two(clustering_file, capsys, monkeypatch)
     assert "SPIDERGATHER_STATE_CEILING" in capsys.readouterr().err
 
 
+# A ceiling or guard below 1 is a bad setting, not a run that is too large.
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("SPIDERGATHER_STATE_CEILING", "solve"),
+        ("SPIDERGATHER_PARTITION_GUARD", "oracle"),
+        ("SPIDERGATHER_USER_CEILING", "reduce"),
+    ],
+)
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_limits_below_one_exit_two(
+    clustering_file, arrears_file, capsys, monkeypatch, name, command, raw
+):
+    monkeypatch.setenv(name, raw)
+    args = {
+        "solve": ["solve", clustering_file],
+        "oracle": ["solve", clustering_file, "--oracle"],
+        "reduce": ["reduce", arrears_file, "--from", "arrears", "--to", "spider"],
+    }[command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert name in captured.err and "too large" not in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_size_guard_still_exits_two(clustering_file, capsys, monkeypatch):
     monkeypatch.setenv("SPIDERGATHER_PARTITION_GUARD", "3")
     assert main(["solve", clustering_file, "--oracle"]) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import tracemalloc
 from unittest import mock
@@ -411,6 +412,34 @@ def test_bitset_engine_agrees_with_the_dict_dp(inst, kind, use_pruning):
         assert rule.called or inst.users == ()
 
 
+# A witness run forced onto the bitset engine walks back through the layers of
+# one pass bounded at the optimum, testing membership where the dict DP
+# compares values. It agrees with the dict DP on the value, the stats and the
+# message of every ceiling, and its witness validates at the value.
+@given(
+    spider_instances(max_legs=5, max_users=10, max_x=60, with_facilities=True),
+    st.sampled_from([CLUSTERING, GATHERING]),
+    st.booleans(),
+)
+@example(bench_instance(0, 4, users_per_leg=1, r=2, coord_bound=100), CLUSTERING, True)
+def test_bitset_witness_run_agrees_with_the_dict_dp(inst, kind, use_pruning):
+    validate = validate_gathering if kind == GATHERING else validate_clustering
+
+    def outcome(bitsets, max_states):
+        with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=bitsets):
+            try:
+                run = run_dp(inst, kind, use_pruning=use_pruning, max_states=max_states)
+            except StateCeilingExceeded as exc:
+                return str(exc)
+        if run.solution is not None:
+            assert validate(inst, run.solution) == run.value
+        return run.value, run.stats
+
+    full = outcome(False, fpt_solver.DEFAULT_STATE_CEILING)
+    for max_states in [fpt_solver.DEFAULT_STATE_CEILING, *range(full[1].states + 1)]:
+        assert outcome(True, max_states) == outcome(False, max_states), max_states
+
+
 # The engine rule on shapes timed on both engines, value-only, bitset time
 # over dict DP time: r=2 with one user per leg from the first to the last row
 # of bench's default table (0.84 and 0.30), r=3 with ten (0.11), and shapes
@@ -429,6 +458,9 @@ def test_engine_rule_on_timed_shapes(monkeypatch, d, per_leg, r, bitsets):
     )
     inst = bench_instance(0, d, users_per_leg=per_leg, r=r, coord_bound=100)
     run_dp(inst, CLUSTERING, want_solution=False)
+    assert bool(calls) == bitsets
+    calls.clear()
+    run_dp(inst, CLUSTERING)  # a witness run takes the same engine
     assert bool(calls) == bitsets
 
 
@@ -463,22 +495,43 @@ def test_close_windows_give_the_per_size_minimum(r):
 
 
 # A value-only run holds two value layers and releases the previous one before
-# the closes grow the current one; a witness run keeps every layer. Holding
-# the previous layer through the closes reads about 0.49 of the witness run's
-# peak here, and keeping every layer about 1.
+# the closes grow the current one; a witness run on the dict DP keeps every
+# layer. Holding the previous layer through the closes reads about 0.49 of the
+# witness run's peak here, and keeping every layer about 1.
 def test_value_only_run_releases_the_previous_layer_before_closing():
     inst = bench_instance(0, 12, users_per_leg=1, r=2, coord_bound=100)
     peaks = []
     tracemalloc.start()
     try:
         for want_solution in (False, True):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run_dp(inst, CLUSTERING, want_solution=want_solution)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            dict_dp = mock.patch.object(fpt_solver, "_bitsets_pay", return_value=False)
+            with dict_dp if want_solution else contextlib.nullcontext():
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run_dp(inst, CLUSTERING, want_solution=want_solution)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
     assert peaks[0] < 0.42 * peaks[1]
+
+
+# A witness run on the bitset engine keeps one int per layer of a pass bounded
+# at the optimum, where the dict DP keeps every value layer: here about 0.14 of
+# the dict DP's witness peak.
+def test_bitset_witness_run_peaks_below_the_dict_dp():
+    inst = bench_instance(0, 12, users_per_leg=1, r=2, coord_bound=100)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for bitsets in (True, False):
+            with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=bitsets):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run_dp(inst, CLUSTERING)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 0.25 * peaks[1]
 
 
 # The same release on the dict DP, which value-only runs outside the bitset
@@ -539,4 +592,46 @@ def test_walk_back_takes_every_step(monkeypatch, kind, inst):
     run = run_dp(inst, kind)
     assert run.value == want.value == enumerate_suffix_special(inst, kind)
     assert validate(inst, run.solution) == run.value
+    assert set(seen) == {"b", "c", "d-closed", "d-open", "x-other"}
+
+
+# The same instances with bitsets forced: the walk-back through the bitset
+# layers of a pass bounded at the optimum takes the same kinds of step.
+@pytest.mark.parametrize(
+    "kind, inst",
+    [
+        (CLUSTERING, _spider(((2, 2), (3, 6), (2, 8), (3, 9), (3, 2), (2, 0), (1, 4)), r=2)),
+        (
+            GATHERING,
+            _spider(
+                ((4, 6), (3, 3), (4, 4), (4, 4), (2, 2), (1, 3), (4, 2), (3, 2)),
+                r=2,
+                facilities=((3, 8), (2, 6), (1, 4), (4, 9)),
+            ),
+        ),
+    ],
+)
+def test_bitset_walk_back_takes_every_step(monkeypatch, kind, inst):
+    if kind == CLUSTERING:
+        want, validate = brute_clustering(inst), validate_clustering
+    else:
+        want, validate = brute_gathering(inst), validate_gathering
+    seen = []
+    walk = fpt_solver._walk
+
+    def spy(prep, sweep, layers, key, unit, bound, has):
+        assert unit == 2 * prep.r - 1, "the walk is not on bitset layers"
+        steps = walk(prep, sweep, layers, key, unit, bound, has)
+        for layer, tag, key, leg, _ in steps:
+            if tag == "d":
+                tag = "d-open" if key % unit else "d-closed"
+            elif tag == "x":
+                tag = "x-own" if leg == prep.legs[sweep[layer - 1]] else "x-other"
+            seen.append(tag)
+        return steps
+
+    monkeypatch.setattr(fpt_solver, "_walk", spy)
+    monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: True)
+    run = run_dp(inst, kind)
+    assert validate(inst, run.solution) == run.value == want.value
     assert set(seen) == {"b", "c", "d-closed", "d-open", "x-other"}
