@@ -34,7 +34,8 @@ maps each key S << shift_s | j to the least max cluster cost that reaches
 it. The bitset engine (_bitset_value) runs when r > 1, the sweep holds at
 least r/2 users per leg and its (2r-1) 2^d-bit layers fit BITSET_BITS;
 elsewhere they hold too few states to pay, or its masks pass a few MB. A
-witness run of either engine walks back (_walk) through the layers it kept.
+witness run walks back (_walk) through the layers it kept: every value layer
+of the dict DP, or the bitset layers of the search pass bounded at the optimum.
 """
 
 from __future__ import annotations
@@ -191,13 +192,14 @@ def run_dp(
 
     With use_pruning=False the sweep visits every user (useful as a
     self-check; the answer must not change). With want_solution=False only
-    the optimal value and stats are computed. The module docstring says
-    which engine runs, and when StateCeilingExceeded is raised.
+    the optimal value and stats are computed. Fewer users than r is
+    infeasible before any sweep. The module docstring says which engine
+    runs, and when StateCeilingExceeded is raised.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
     n, r, d_users = prep.n, prep.r, prep.d_users
-    if n == 0:
+    if r > n:  # every cluster holds at least r users; no sweep, no O(r^2) table
         return DpRun(INFEASIBLE, None, SolveStats(0, 0, 0))
 
     sweep = prune(norm.instance) if use_pruning else tuple(range(n))
@@ -394,14 +396,20 @@ def _bitset_value(
 
     A bitset holds no values. One unbounded pass takes "d" and the closes only
     at finite costs, as the dict DP stores finite values only, so it reaches
-    exactly the dict DP's keys: it counts and checks them at the same points,
-    and builds each best-close table after its layer's "b", "c" and "d" check.
-    The optimum is the least T, 0, a finite r_minus or a best-close cost, at
-    which a pass that refuses every step costing more than T still reaches
-    the final layer: a binary search finds it. Given a list, layers, one more
-    pass at T fills it with its layers, the initial one first.
+    exactly the dict DP's keys: it counts and checks them at the same points.
+    After its layer's "b", "c" and "d" check it builds the layer's close rows,
+    sorted by cost: one per ball size in B, listing the legs other than u's
+    with a user beyond u and a key in B. Every bounded pass reaches a subset
+    of its keys, so no other close fires in one. The optimum is the least T,
+    0, a finite r_minus or a row's cost, at which a pass that refuses every
+    step costing more than T still reaches the final layer: a binary search
+    finds it. Retiring each leg at its first swept user is a path of value
+    top, so a finite top is the search's upper end, and its first probe is the
+    candidate just below top. Given a list, layers, it gets the layers of the
+    last feasible search pass, which ran at T, the initial one first; one
+    more pass at T fills it when the search had no feasible pass.
     """
-    r, d_users, legs = prep.r, prep.d_users, prep.legs
+    r, d_users, legs, leg_members = prep.r, prep.d_users, prep.legs, prep.leg_members
     cap = 2 * r - 1
     size = cap << d_users
     every = (1 << size) - 1
@@ -421,15 +429,16 @@ def _bitset_value(
     full_s = ((1 << d_users) - 1) * cap
     live = _live(prep, sweep, cap)
     r_minus = [prep.r_minus(u_pos) for u_pos in sweep]
-    windows = _close_windows(r)
-    tables: list[list[list[tuple[int, Cost]]]] = []
+    tables: list[list[tuple[int, list[tuple[Cost, int]]]]] = []
 
-    def sweep_at(bound: Cost, keep: bool = False) -> tuple[int, int]:
+    def sweep_at(bound: Cost, keep: Optional[list[int]] = None) -> tuple[int, int]:
         first = not tables
         layer, states, count = 1 << full_s, 1, 1
         dead, was = (1 << cap) - 1, full_s
         alive = every ^ dead
         keep_d = j_mask[0] | alive
+        if keep is not None:
+            keep.append(layer)
         for i, u_pos in enumerate(sweep):
             if live[i] != was:
                 dead |= dead << (was - live[i])
@@ -450,16 +459,33 @@ def _bitset_value(
                 built = states + cur.bit_count()
                 if built > max_states:
                     raise _ceiling(built, max_states)
-                tables.append(_best_close(prep, u_pos, windows, cap))
-            for j, row in enumerate(tables[i]):
-                b_j = b & j_mask[j] if row else 0
+                near = []  # (l_s, close costs) of the legs that the rows list
+                for leg0, members in enumerate(leg_members):
+                    l_s = cap << leg0
+                    if members[-1] > u_pos and l_s != u_s and b & leg_mask[l_s]:
+                        near.append((l_s, _close_costs(prep, u_pos, leg0)))
+                table = []
+                for j in range(1, cap) if near else ():
+                    if b & j_mask[j]:  # the least close cost over r-j <= p <= 2r-1-j
+                        lo, hi = max(r - j, 1) - 1, cap - j
+                        row = []
+                        for l_s, costs in near:
+                            c = min(costs[lo:hi]) if lo < len(costs) else INFEASIBLE
+                            if c != INFEASIBLE:
+                                row.append((c, l_s))
+                        if row:
+                            table.append((j, sorted(row)))
+                tables.append(table)
+            for j, row in tables[i]:
+                b_j = b & j_mask[j]
                 if b_j:
-                    for l_s, c in row:
-                        if c <= bound:
-                            cur |= (b_j & leg_mask[l_s]) >> (j + l_s)
+                    for c, l_s in row:
+                        if c > bound:
+                            break
+                        cur |= (b_j & leg_mask[l_s]) >> (j + l_s)
             layer = cur
-            if keep:
-                layers.append(layer)
+            if keep is not None:
+                keep.append(layer)
             if first:
                 count = cur.bit_count()
                 states += count
@@ -475,18 +501,28 @@ def _bitset_value(
     cands = sorted(
         {0}
         | {v for v in r_minus if v != INFEASIBLE}
-        | {c for table in tables for row in table for _, c in row}
+        | {c for table in tables for _, row in table for c, _ in row}
     )
+    top = max(prep.r_minus(members[0]) for members in leg_members)
     lo, hi = 0, len(cands) - 1
+    mid = (lo + hi) // 2
+    if top != INFEASIBLE:
+        hi = cands.index(top)
+        mid = hi - 1
+    found = None  # the layers of the last feasible search pass
     while lo < hi:
-        mid = (lo + hi) // 2
-        if sweep_at(cands[mid])[0]:
-            hi = mid
+        kept = None if layers is None else []
+        if sweep_at(cands[mid], kept)[0]:
+            hi, found = mid, kept
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
+        kept = None  # an infeasible pass's layers go before the next pass
     if layers is not None:
-        layers.append(1 << full_s)
-        sweep_at(cands[lo], keep=True)
+        if found is None:
+            sweep_at(cands[lo], layers)
+        else:
+            layers.extend(found)
     return cands[lo], states
 
 

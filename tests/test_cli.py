@@ -86,6 +86,17 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "infeasible"
 
 
+def test_r_beyond_the_user_count_is_infeasible_at_once(tmp_path, capsys):
+    inst = _write(
+        tmp_path / "huge_r.json",
+        {"r": 10**9, "legs": 1, "users": [{"leg": 1, "x": 0}]},
+    )
+    assert main(["solve", inst]) == 1
+    assert json.loads(capsys.readouterr().out)["value"] == "infeasible"
+    sol = _write(tmp_path / "sol.json", {"value": "infeasible", "clusters": []})
+    assert main(["check", inst, sol]) == 0
+
+
 def test_solve_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

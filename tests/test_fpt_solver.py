@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -110,6 +111,20 @@ def test_solve_infeasible_when_users_short():
 
 def test_solve_empty_instance_is_infeasible():
     assert solve(_line([], r=1), CLUSTERING) is None
+
+
+# Every cluster holds at least r users, so r beyond the user count is
+# infeasible before any table is built; the best-close windows alone are
+# O(r^2), and at this r they would exhaust memory.
+@pytest.mark.parametrize("kind", [CLUSTERING, GATHERING])
+@pytest.mark.parametrize("want_solution", [False, True])
+def test_r_beyond_the_user_count_is_infeasible_at_once(kind, want_solution):
+    inst = SpiderInstance(
+        d=2, users=(PointOnSpider(1, 3), PointOnSpider(2, 5)), facilities=(PointOnSpider(1, 4),),
+        r=10**9,
+    )
+    run = run_dp(inst, kind, want_solution=want_solution)
+    assert run.value == INFEASIBLE and run.solution is None
 
 
 def test_gathering_without_reachable_facility_is_infeasible():
@@ -395,33 +410,42 @@ def _outcome(inst, kind, want_solution, use_pruning, max_states):
 # A value-only run forced onto the bitset engine and a witness run on the dict
 # DP store the same states, so they agree on the value, the stats and the
 # message of every ceiling. A bitset pass that took "d" at an infinite r_minus
-# (INFEASIBLE <= INFEASIBLE holds) would store 45 states on the @example,
-# where the dict DP stores 19.
+# (INFEASIBLE <= INFEASIBLE holds) would store 45 states on the first
+# @example, where the dict DP stores 19. The other three pin the search's
+# upper end, top, which retires every leg at its first swept user: the
+# optimum equals top (36), lies below it (46 < 61), or top is infinite (57).
 @given(
     spider_instances(max_legs=5, max_users=10, max_x=60, with_facilities=True),
     st.sampled_from([CLUSTERING, GATHERING]),
     st.booleans(),
 )
 @example(bench_instance(0, 4, users_per_leg=1, r=2, coord_bound=100), CLUSTERING, True)
+@example(bench_instance(0, 2, users_per_leg=2, r=2, coord_bound=100), CLUSTERING, True)
+@example(bench_instance(0, 3, users_per_leg=3, r=2, coord_bound=100), CLUSTERING, True)
+@example(bench_instance(0, 2, users_per_leg=2, r=3, coord_bound=100), CLUSTERING, True)
 def test_bitset_engine_agrees_with_the_dict_dp(inst, kind, use_pruning):
     full = _outcome(inst, kind, True, use_pruning, fpt_solver.DEFAULT_STATE_CEILING)
     for max_states in [fpt_solver.DEFAULT_STATE_CEILING, *range(full[1].states + 1)]:
         want = _outcome(inst, kind, True, use_pruning, max_states)
         with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=True) as rule:
             assert _outcome(inst, kind, False, use_pruning, max_states) == want, max_states
-        assert rule.called or inst.users == ()
+        assert rule.called or inst.r > len(inst.users)  # else infeasible before any engine
 
 
 # A witness run forced onto the bitset engine walks back through the layers of
 # one pass bounded at the optimum, testing membership where the dict DP
 # compares values. It agrees with the dict DP on the value, the stats and the
-# message of every ceiling, and its witness validates at the value.
+# message of every ceiling, and its witness validates at the value. The
+# @examples are those of the value-only test above.
 @given(
     spider_instances(max_legs=5, max_users=10, max_x=60, with_facilities=True),
     st.sampled_from([CLUSTERING, GATHERING]),
     st.booleans(),
 )
 @example(bench_instance(0, 4, users_per_leg=1, r=2, coord_bound=100), CLUSTERING, True)
+@example(bench_instance(0, 2, users_per_leg=2, r=2, coord_bound=100), CLUSTERING, True)
+@example(bench_instance(0, 3, users_per_leg=3, r=2, coord_bound=100), CLUSTERING, True)
+@example(bench_instance(0, 2, users_per_leg=2, r=3, coord_bound=100), CLUSTERING, True)
 def test_bitset_witness_run_agrees_with_the_dict_dp(inst, kind, use_pruning):
     validate = validate_gathering if kind == GATHERING else validate_clustering
 
@@ -438,6 +462,54 @@ def test_bitset_witness_run_agrees_with_the_dict_dp(inst, kind, use_pruning):
     full = outcome(False, fpt_solver.DEFAULT_STATE_CEILING)
     for max_states in [fpt_solver.DEFAULT_STATE_CEILING, *range(full[1].states + 1)]:
         assert outcome(True, max_states) == outcome(False, max_states), max_states
+
+
+# A witness run on bitsets walks back through the layers of the last feasible
+# search pass, which ran at the optimum T, so no pass follows the search and
+# exactly one pass runs at T. Every probe lies below a finite top. When the
+# probe just below top fails, top is the optimum and no search pass was
+# feasible: the counting pass, the probe and one pass at top run. Passes are counted by profiling the engine's pass
+# function; the stats stay the dict DP's.
+@pytest.mark.parametrize(
+    "d, per_leg, r, value, top",
+    [(2, 2, 2, 36, 36), (3, 3, 2, 46, 61), (2, 2, 3, 57, INFEASIBLE)],
+)
+def test_bitset_witness_run_keeps_the_last_feasible_pass(monkeypatch, d, per_leg, r, value, top):
+    inst = bench_instance(0, d, users_per_leg=per_leg, r=r, coord_bound=100)
+    passes = []  # [bound, final layer] of each pass, in order
+    walked = []
+    walk = fpt_solver._walk
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_name == "sweep_at":
+            if event == "call":
+                passes.append([frame.f_locals["bound"], None])
+            elif event == "return":
+                passes[-1][1] = arg[0]
+
+    def spy(prep, sweep, layers, *args):
+        walked.append(layers[-1])
+        return walk(prep, sweep, layers, *args)
+
+    monkeypatch.setattr(fpt_solver, "_walk", spy)
+    with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=False):
+        want = run_dp(inst, CLUSTERING)
+    monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: True)
+    sys.setprofile(profile)
+    try:
+        run = run_dp(inst, CLUSTERING)
+    finally:
+        sys.setprofile(None)
+    assert run.value == want.value == value and run.stats == want.stats
+    assert validate_clustering(inst, run.solution) == value
+    assert passes[0][0] == INFEASIBLE and passes[0][1]
+    at_value = [final for bound, final in passes if bound == value]
+    assert len(at_value) == 1 and at_value[0] and walked[-1] is at_value[0]
+    assert [bound for bound, final in passes if final][-1] == value
+    probes = passes[1:-1] if value == top else passes[1:]
+    assert all(bound < top for bound, _ in probes)
+    if value == top:
+        assert len(passes) == 3 and not passes[1][1]
 
 
 # The engine rule on shapes timed on both engines, value-only, bitset time
