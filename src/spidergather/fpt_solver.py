@@ -29,20 +29,21 @@ that "c" keeps before it builds a layer, then the layer after its "b", "c"
 and "d" steps and again after its closes, so a layer whose kept keys pass
 the ceiling is not built, and one whose other steps pass it is not closed.
 
-Two engines run these transitions and store the same states. The dict DP
-maps each key S << shift_s | j to the least max cluster cost that reaches
-it. The bitset engine (_bitset_value) runs when r > 1, the sweep holds at
-least r/2 users per leg and its (2r-1) 2^d-bit layers fit BITSET_BITS;
-elsewhere they hold too few states to pay, or its masks pass a few MB. A
-witness run walks back (_walk) through the layers it kept: every value layer
-of the dict DP, or the bitset layers of the search pass bounded at the optimum.
+Two engines run these transitions and store the same states, with the close
+rows of _close_rows. The dict DP maps each key S << shift_s | j to the least
+max cluster cost that reaches it. The bitset engine (_bitset_value) runs when
+r > 1, the sweep holds at least r/2 users per leg and its (2r-1) 2^d-bit
+layers fit BITSET_BITS; elsewhere they hold too few states to pay, or its
+masks pass a few MB. A witness run walks back (_walk) through the layers it
+kept: every value layer of the dict DP, or the bitset layers of the search
+pass bounded at the optimum.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .cost_oracle import FacilityIndex, best_facility, cost_gathering
 from .line_suffix import SuffixRow, suffix_costs_clustering, suffix_costs_gathering
@@ -219,7 +220,6 @@ def run_dp(
     mask_j = (1 << shift_s) - 1
     full_s = (1 << d_users) - 1
     cap = 2 * r - 1
-    windows = _close_windows(r)
     prev: dict[int, Cost] = {full_s << shift_s: 0}
     layers: list[dict[int, Cost]] = []  # a witness run's finished value layers
     states = 1  # the initial layer
@@ -258,7 +258,7 @@ def run_dp(
                 if key not in cur or val < cur[key]:
                     cur[key] = val
 
-        # A witness run keeps the previous layer for _walk_back; a value-only
+        # A witness run keeps the previous layer for _walk; a value-only
         # run releases it before the closes grow this one.
         if want_solution:
             layers.append(prev)
@@ -297,12 +297,16 @@ def run_dp(
         # earlier one by the same argument, and that closed state reaches this
         # layer through "c": both close costs grow with the ball's last
         # coordinate, so moving it back from u costs no more.
-        best_close = _best_close(prep, u_pos, windows, 1 << shift_s)
+        sizes, held = set(), 0
+        for key in grown:
+            sizes.add(key & mask_j)
+            held |= key
+        rows = dict(_close_rows(prep, u_pos, sizes, lambda l_s: held & l_s, 1 << shift_s))
         for key in grown:
             val = cur[key]
             j = key & mask_j
             closed = key - j
-            for l_s, c in best_close[j]:
+            for c, l_s in rows.get(j, ()):
                 if key & l_s:
                     nv = val if val >= c else c
                     nkey = closed ^ l_s
@@ -328,7 +332,8 @@ def run_dp(
         return DpRun(value, None, stats)
 
     layers.append(prev)
-    steps = _walk_back(prep, sweep, layers, best_key)
+    steps = _walk(prep, sweep, layers, best_key, 1 << shift_s, value,
+                  lambda layer, key: layer.get(key, INFEASIBLE) <= value)
     solution = _reconstruct(prep, norm, sweep, steps, value)
     return DpRun(value, solution, stats)
 
@@ -352,31 +357,38 @@ def _live(prep: _Prep, sweep: tuple[int, ...], unit: int) -> list[int]:
     return live
 
 
-def _best_close(
-    prep: _Prep, u_pos: int, windows: list[list[tuple[int, int, int]]], unit: int
-) -> list[list[tuple[int, Cost]]]:
-    """The cheapest closes of the balls that end at u_pos, by ball size.
+def _close_rows(
+    prep: _Prep, u_pos: int, sizes: Iterable[int], holds: Callable[[int], object], unit: int
+) -> list[tuple[int, list[tuple[Cost, int]]]]:
+    """The cheapest closes of the balls that end at u_pos, one row per ball size.
 
-    Row j lists (l_s, cost) for each leg other than u_pos's that can take the
-    segment of a ball of j users: cost is the least max(close cost, leftover)
-    over the admissible p, r-j <= p <= 2r-1-j, the minimum over j's window of
-    the leg's close costs. l_s is the leg's S bit times unit, the step of the
-    leg in a key, so the close of a grown key (S, j) reaches key - j - l_s.
+    Returns (j, row) for each size j in sizes whose row is not empty. The row
+    lists (cost, l_s), sorted by cost, for each leg other than u_pos's that has
+    a user beyond u_pos and that holds(l_s) accepts, where l_s is the leg's S
+    bit times unit, the step of the leg in a key: the close of a grown key
+    (S, j) on that leg reaches key - j - l_s. The cost is the least
+    max(close cost, leftover) over the admissible segment sizes,
+    r-j <= p <= 2r-1-j, that is the minimum of the leg's _close_costs over
+    j's window; a leg whose window holds no finite cost is left out.
     """
-    best_close: list[list[tuple[int, Cost]]] = [[] for _ in range(2 * prep.r - 1)]
+    r, cap = prep.r, 2 * prep.r - 1
     u_leg0 = prep.legs[u_pos] - 1
-    for leg0 in range(prep.d_users):
-        if leg0 == u_leg0:
-            continue
-        costs = _close_costs(prep, u_pos, leg0)
-        if not costs:
-            continue  # no user beyond u on this leg to close with
+    near = []  # (l_s, close costs) of the legs that the rows may list
+    for leg0, members in enumerate(prep.leg_members):
         l_s = unit << leg0
-        for j, lo, hi in windows[len(costs)]:
-            best = min(costs[lo:hi])
-            if best != INFEASIBLE:
-                best_close[j].append((l_s, best))
-    return best_close
+        if members[-1] > u_pos and leg0 != u_leg0 and holds(l_s):
+            near.append((l_s, _close_costs(prep, u_pos, leg0)))
+    rows = []
+    for j in sizes if near else ():
+        lo, hi = max(r - j, 1) - 1, cap - j
+        row = []
+        for l_s, costs in near:
+            c = min(costs[lo:hi]) if lo < len(costs) else INFEASIBLE
+            if c != INFEASIBLE:
+                row.append((c, l_s))
+        if row:
+            rows.append((j, sorted(row)))
+    return rows
 
 
 def _bitset_value(
@@ -396,18 +408,17 @@ def _bitset_value(
 
     A bitset holds no values. One unbounded pass takes "d" and the closes only
     at finite costs, as the dict DP stores finite values only, so it reaches
-    exactly the dict DP's keys: it counts and checks them at the same points.
-    After its layer's "b", "c" and "d" check it builds the layer's close rows,
-    sorted by cost: one per ball size in B, listing the legs other than u's
-    with a user beyond u and a key in B. Every bounded pass reaches a subset
-    of its keys, so no other close fires in one. The optimum is the least T,
-    0, a finite r_minus or a row's cost, at which a pass that refuses every
-    step costing more than T still reaches the final layer: a binary search
-    finds it. Retiring each leg at its first swept user is a path of value
-    top, so a finite top is the search's upper end, and its first probe is the
-    candidate just below top. Given a list, layers, it gets the layers of the
-    last feasible search pass, which ran at T, the initial one first; one
-    more pass at T fills it when the search had no feasible pass.
+    exactly the dict DP's keys: it counts and checks them at the same points,
+    and keeps each layer's close rows for the sizes and legs of B. Every
+    bounded pass reaches a subset of its keys, so no other close fires in one.
+    The optimum is the least T, 0, a finite r_minus or a row's cost, at which
+    a pass that refuses every step costing more than T still reaches the final
+    layer: a binary search finds it. Retiring each leg at its first swept user
+    is a path of value top, so a finite top is the search's upper end, and its
+    first probe is the candidate just below top. Given a list, layers, it gets
+    the layers of the last feasible search pass, which ran at T, the initial
+    one first; one more pass at T fills it when the search had no feasible
+    pass.
     """
     r, d_users, legs, leg_members = prep.r, prep.d_users, prep.legs, prep.leg_members
     cap = 2 * r - 1
@@ -459,23 +470,10 @@ def _bitset_value(
                 built = states + cur.bit_count()
                 if built > max_states:
                     raise _ceiling(built, max_states)
-                near = []  # (l_s, close costs) of the legs that the rows list
-                for leg0, members in enumerate(leg_members):
-                    l_s = cap << leg0
-                    if members[-1] > u_pos and l_s != u_s and b & leg_mask[l_s]:
-                        near.append((l_s, _close_costs(prep, u_pos, leg0)))
-                table = []
-                for j in range(1, cap) if near else ():
-                    if b & j_mask[j]:  # the least close cost over r-j <= p <= 2r-1-j
-                        lo, hi = max(r - j, 1) - 1, cap - j
-                        row = []
-                        for l_s, costs in near:
-                            c = min(costs[lo:hi]) if lo < len(costs) else INFEASIBLE
-                            if c != INFEASIBLE:
-                                row.append((c, l_s))
-                        if row:
-                            table.append((j, sorted(row)))
-                tables.append(table)
+                tables.append(
+                    _close_rows(prep, u_pos, [j for j in range(1, cap) if b & j_mask[j]],
+                                lambda l_s: b & leg_mask[l_s], cap) if b else []
+                )
             for j, row in tables[i]:
                 b_j = b & j_mask[j]
                 if b_j:
@@ -526,25 +524,6 @@ def _bitset_value(
     return cands[lo], states
 
 
-def _close_windows(r: int) -> list[list[tuple[int, int, int]]]:
-    """The slices of a close-cost list that each ball size may close with.
-
-    windows[L] holds (j, lo, hi) for each ball size j, 1 <= j <= 2r-2, whose
-    admissible segment sizes r-j <= p <= 2r-1-j meet a list of L close costs
-    (see _close_costs): the cheapest close of a ball of j users on that leg
-    is min(costs[lo:hi]). A j whose window misses the list is left out, so no
-    slice is empty.
-    """
-    cap = 2 * r - 1
-    windows: list[list[tuple[int, int, int]]] = [[] for _ in range(cap)]
-    for length in range(1, cap):
-        for j in range(1, cap):
-            lo, hi = max(r - j, 1) - 1, min(cap - j, length)
-            if lo < hi:
-                windows[length].append((j, lo, hi))
-    return windows
-
-
 def _close_costs(prep: _Prep, u_pos: int, leg0: int) -> list[Cost]:
     """Costs of closing a ball that ends at u_pos on leg leg0 + 1, by segment size.
 
@@ -574,15 +553,6 @@ def _emit_suffix(prep: _Prep, leg: int, start_rank: int, clusters: list[list[int
         start = len(members) - k
         clusters.append(list(members[start : start + t]))
         k -= t
-
-
-def _walk_back(
-    prep: _Prep, sweep: tuple[int, ...], layers: list[dict[int, Cost]], final_key: int
-) -> list[tuple[int, str, int, int, int]]:
-    """_walk on the dict DP's value layers, from final_key at its value."""
-    bound = layers[-1][final_key]
-    return _walk(prep, sweep, layers, final_key, 1 << (2 * prep.r).bit_length(), bound,
-                 lambda layer, key: layer.get(key, INFEASIBLE) <= bound)
 
 
 def _walk(

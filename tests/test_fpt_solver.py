@@ -536,16 +536,23 @@ def test_engine_rule_on_timed_shapes(monkeypatch, d, per_leg, r, bitsets):
     assert bool(calls) == bitsets
 
 
-# Each best-close row is the least close cost over one precomputed window of
+# Each close row is the least close cost over its ball size's window of
 # segment sizes. Checked against the direct per-j minimum over the admissible
 # p, r-j <= p <= 2r-1-j, for every r up to 8 and every list length the sweep
 # can build, on cost lists that mix feasible and INFEASIBLE entries: every
 # list over three values up to length 6, and rotations of a mixed list beyond.
+# u is the user at x=1 on leg 1. Legs 2 and 3 close with a list and its
+# reverse, so each row must order them by cost. No row lists leg 1 (u's own,
+# with a user beyond u), leg 4 (its only user lies before u) or leg 5 (holds
+# refuses it).
 @pytest.mark.parametrize("r", range(1, 9))
-def test_close_windows_give_the_per_size_minimum(r):
+def test_close_windows_give_the_per_size_minimum(monkeypatch, r):
     cap = 2 * r - 1
-    windows = fpt_solver._close_windows(r)
-    assert len(windows) == cap
+    inst = _spider(((4, 0), (1, 1), (2, 2), (3, 2), (5, 2), (1, 3)), r=r)
+    prep = fpt_solver._prepare(normalize(inst).instance, CLUSTERING)
+    u_pos, refused = 1, cap << 4
+    by_leg = {}
+    monkeypatch.setattr(fpt_solver, "_close_costs", lambda prep, u_pos, leg0: by_leg[leg0])
     pool = (3, 1, INFEASIBLE, 2, INFEASIBLE, 0, 5)
     for length in range(1, cap):
         lists = [
@@ -557,13 +564,41 @@ def test_close_windows_give_the_per_size_minimum(r):
         if length <= 6:
             lists += [list(costs) for costs in itertools.product((0, 1, INFEASIBLE), repeat=length)]
         for costs in lists:
-            rows = [INFEASIBLE] * cap
-            for j, lo, hi in windows[length]:
-                assert lo < hi
-                rows[j] = min(costs[lo:hi])
+            by_leg.update(dict.fromkeys(range(5), costs))
+            by_leg[2] = costs[::-1]
+            rows = fpt_solver._close_rows(
+                prep, u_pos, range(1, cap), lambda l_s: l_s != refused, cap
+            )
+            got = {}
+            for j, row in rows:
+                assert row and row == sorted(row), (r, costs, j)
+                assert j not in got
+                got[j] = {l_s: c for c, l_s in row}
+                assert got[j].keys() <= {cap << 1, cap << 2}, (r, costs, j)
             for j in range(1, cap):
-                want = min(costs[max(r - j, 1) - 1 : cap - j], default=INFEASIBLE)
-                assert rows[j] == want, (r, length, costs, j)
+                for leg0 in (1, 2):
+                    want = min(by_leg[leg0][max(r - j, 1) - 1 : cap - j], default=INFEASIBLE)
+                    assert got.get(j, {}).get(cap << leg0, INFEASIBLE) == want, (r, costs, j)
+
+
+# r = n = 600 on 3 legs, user i at x = i // 3 on leg 1 + i % 3, which the
+# engine rule sends to the dict DP. Its layers hold one or two states, so a run
+# that builds close rows only for the grown balls' sizes and legs stays small;
+# a table over every (size, window) pair would grow with r^2.
+@pytest.mark.parametrize("want_solution", [False, True])
+def test_dict_dp_at_r_equal_to_n_stays_small(want_solution):
+    inst = _spider([(1 + i % 3, i // 3) for i in range(600)], r=600)
+    assert not fpt_solver._bitsets_pay(600, 3, 600)
+    tracemalloc.start()
+    try:
+        run = run_dp(inst, CLUSTERING, want_solution=want_solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.value == 398 and run.stats.states == 602
+    assert peak < 5 * 2**20
+    if want_solution:
+        assert validate_clustering(inst, run.solution) == 398
 
 
 # A value-only run holds two value layers and releases the previous one before
@@ -614,76 +649,37 @@ def test_dict_value_only_run_releases_the_previous_layer_before_closing(monkeypa
     test_value_only_run_releases_the_previous_layer_before_closing()
 
 
-def _walk_back_steps(monkeypatch):
-    """Record the steps of each witness walk-back, with "d" and "x" refined."""
-    seen = []
-    walk_back = fpt_solver._walk_back
-
-    def spy(prep, sweep, layers, final_key):
-        steps = walk_back(prep, sweep, layers, final_key)
-        mask_j = (1 << (2 * prep.r).bit_length()) - 1
-        for layer, tag, key, leg, _ in steps:
-            if tag == "d":
-                tag = "d-open" if key & mask_j else "d-closed"
-            elif tag == "x":
-                tag = "x-own" if leg == prep.legs[sweep[layer - 1]] else "x-other"
-            seen.append(tag)
-        return steps
-
-    monkeypatch.setattr(fpt_solver, "_walk_back", spy)
-    return seen
-
-
-# Witnesses rebuilt from the value layers alone. The walk-back on each of these
-# instances takes "b", "c", "d" from a closed ball and from an open one, and
-# "x" on a leg other than the swept user's. It never takes "x" on the swept
-# user's own leg: the sweep makes no such close, because "c" or "d" reaches
-# the same closed state at no higher value. A walk-back that takes "c"
-# without comparing values, or that looks for "x" on the swept user's leg
-# only, fails on both.
-@pytest.mark.parametrize(
-    "kind, inst",
-    [
-        (CLUSTERING, _spider(((2, 2), (3, 6), (2, 8), (3, 9), (3, 2), (2, 0), (1, 4)), r=2)),
-        (
-            GATHERING,
-            _spider(
-                ((4, 6), (3, 3), (4, 4), (4, 4), (2, 2), (1, 3), (4, 2), (3, 2)),
-                r=2,
-                facilities=((3, 8), (2, 6), (1, 4), (4, 9)),
-            ),
+_WALK_CASES = [
+    (CLUSTERING, _spider(((2, 2), (3, 6), (2, 8), (3, 9), (3, 2), (2, 0), (1, 4)), r=2)),
+    (
+        GATHERING,
+        _spider(
+            ((4, 6), (3, 3), (4, 4), (4, 4), (2, 2), (1, 3), (4, 2), (3, 2)),
+            r=2,
+            facilities=((3, 8), (2, 6), (1, 4), (4, 9)),
         ),
+    ),
+]
+
+
+# Witnesses rebuilt from the kept layers alone, on the dict DP, which the
+# engine rule picks here, and with bitsets forced. The walk-back on each of
+# these instances takes "b", "c", "d" from a closed ball and from an open one,
+# and "x" on a leg other than the swept user's. It never takes "x" on the
+# swept user's own leg: the sweep makes no such close, because "c" or "d"
+# reaches the same closed state at no higher value. A walk-back that takes
+# "c" without testing the key at the optimum, or that looks for "x" on the
+# swept user's leg only, fails on both. key % unit is a key's ball size on
+# both layouts.
+@pytest.mark.parametrize(
+    "bitsets, kind, inst",
+    [
+        pytest.param(bitsets, kind, inst, id=f"{'bitsets-' * bitsets}{kind}-inst{i}")
+        for bitsets in (False, True)
+        for i, (kind, inst) in enumerate(_WALK_CASES)
     ],
 )
-def test_walk_back_takes_every_step(monkeypatch, kind, inst):
-    if kind == CLUSTERING:
-        want, validate = brute_clustering(inst), validate_clustering
-    else:
-        want, validate = brute_gathering(inst), validate_gathering
-    seen = _walk_back_steps(monkeypatch)
-    run = run_dp(inst, kind)
-    assert run.value == want.value == enumerate_suffix_special(inst, kind)
-    assert validate(inst, run.solution) == run.value
-    assert set(seen) == {"b", "c", "d-closed", "d-open", "x-other"}
-
-
-# The same instances with bitsets forced: the walk-back through the bitset
-# layers of a pass bounded at the optimum takes the same kinds of step.
-@pytest.mark.parametrize(
-    "kind, inst",
-    [
-        (CLUSTERING, _spider(((2, 2), (3, 6), (2, 8), (3, 9), (3, 2), (2, 0), (1, 4)), r=2)),
-        (
-            GATHERING,
-            _spider(
-                ((4, 6), (3, 3), (4, 4), (4, 4), (2, 2), (1, 3), (4, 2), (3, 2)),
-                r=2,
-                facilities=((3, 8), (2, 6), (1, 4), (4, 9)),
-            ),
-        ),
-    ],
-)
-def test_bitset_walk_back_takes_every_step(monkeypatch, kind, inst):
+def test_walk_back_takes_every_step(monkeypatch, bitsets, kind, inst):
     if kind == CLUSTERING:
         want, validate = brute_clustering(inst), validate_clustering
     else:
@@ -692,7 +688,8 @@ def test_bitset_walk_back_takes_every_step(monkeypatch, kind, inst):
     walk = fpt_solver._walk
 
     def spy(prep, sweep, layers, key, unit, bound, has):
-        assert unit == 2 * prep.r - 1, "the walk is not on bitset layers"
+        want_unit = 2 * prep.r - 1 if bitsets else 1 << (2 * prep.r).bit_length()
+        assert unit == want_unit, "the walk is on the other engine"
         steps = walk(prep, sweep, layers, key, unit, bound, has)
         for layer, tag, key, leg, _ in steps:
             if tag == "d":
@@ -703,7 +700,8 @@ def test_bitset_walk_back_takes_every_step(monkeypatch, kind, inst):
         return steps
 
     monkeypatch.setattr(fpt_solver, "_walk", spy)
-    monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: True)
+    monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: bitsets)
     run = run_dp(inst, kind)
-    assert validate(inst, run.solution) == run.value == want.value
+    assert run.value == want.value == enumerate_suffix_special(inst, kind)
+    assert validate(inst, run.solution) == run.value
     assert set(seen) == {"b", "c", "d-closed", "d-open", "x-other"}
