@@ -1,21 +1,25 @@
-"""Closing costs for multi-leg clusters.
+"""Facility radii for gathering clusters, from per-leg tables.
 
-When the dynamic program closes a cluster it knows only two of its members:
-u, the last user added to the ball part, and v, the last user of the segment
-part, with x(u) <= x(v). Everything else in the cluster sits at coordinate
-<= x(u) (ball) or on v's leg between the close point and v (segment), so a
-cost that depends on u and v alone is enough:
+FacilityIndex builds its tables once per index: each leg's sorted facility
+coordinates and the least facility coordinate of all. One query,
+close_cost(near, leg, far), is the least of far + y over every facility at y
+and of max(near + y, |far - y|) over those on `leg`. The first term is the
+radius of a facility off `leg`; on `leg` it is at least the second term, as
+near <= far, so the first term may take the least facility of all. For
+-far <= near <= far the second term is far - y while 2y < far - near and
+near + y from there on, so only the two facilities around that point need
+checking. The solvers ask it three questions:
 
-  clustering: x(u) + x(v), which fpt_solver computes inline: the diameter
-      realized by u and v themselves, which sit on different legs because
-      fpt_solver closes no ball on the leg of its last user (another
-      transition reaches the same state at no higher value).
+  closes: the DP closes a cluster knowing only its last ball user u and its
+      last segment user v, with x(u) <= x(v) on different legs. Every other
+      member sits at coordinate <= x(u) (ball) or on v's leg up to x(v)
+      (segment), so the radius is close_cost(x(u), leg(v), x(v)).
 
-  gathering: the best facility is either off v's leg (then the smallest such
-      facility coordinate wins and the cluster radius is that coordinate plus
-      x(v)) or on v's leg (then the max of x(u) + y and |x(v) - y| is
-      unimodal in y, so only the facilities adjacent to (x(v) - x(u)) / 2
-      need checking).
+  groups: a contiguous single-leg group [x_a, x_b] is served at radius
+      close_cost(-x_a, leg, x_b): a facility on the leg below the group's
+      midpoint is x_b - y away, one above it y - x_a.
+
+  users: close_cost(-x, leg, x) is a user's distance to its nearest facility.
 """
 
 from __future__ import annotations
@@ -36,61 +40,24 @@ class FacilityIndex:
         self.by_leg: dict[int, tuple[tuple[int, int], ...]] = {
             leg: tuple(entries) for leg, entries in by_leg.items()
         }
-        self._coords: dict[int, list[int]] = {
-            leg: [x for x, _ in entries] for leg, entries in self.by_leg.items()
-        }
-        # Two smallest facilities on distinct legs cover every off-leg query.
-        firsts = sorted(
-            (entries[0][0], leg, entries[0][1]) for leg, entries in self.by_leg.items()
-        )
-        self._first: Optional[tuple[int, int, int]] = firsts[0] if firsts else None
-        self._second: Optional[tuple[int, int, int]] = firsts[1] if len(firsts) > 1 else None
+        self._ys = {leg: tuple(x for x, _ in entries) for leg, entries in by_leg.items()}
+        self._least: Cost = min((ys[0] for ys in self._ys.values()), default=INFEASIBLE)
 
-    def off_leg_min(self, leg: int) -> Optional[tuple[int, int]]:
-        """Smallest facility coordinate on any leg other than `leg`, with its index."""
-        if self._first is None:
-            return None
-        x, fleg, idx = self._first
-        if fleg != leg:
-            return x, idx
-        if self._second is None:
-            return None
-        x, _, idx = self._second
-        return x, idx
-
-    def neighbors_on_leg(self, leg: int, doubled_target: int) -> list[tuple[int, int]]:
-        """Facilities on `leg` adjacent to doubled_target / 2, as (coord, index).
-
-        Targets arrive doubled so midpoints between integer coordinates stay
-        exact. At most two facilities come back, which is all a unimodal
-        objective needs.
-        """
-        coords = self._coords.get(leg)
-        if not coords:
-            return []
-        pos = bisect_left(coords, doubled_target, key=lambda c: 2 * c)
-        out = []
-        if pos > 0:
-            out.append(self.by_leg[leg][pos - 1])
-        if pos < len(coords):
-            out.append(self.by_leg[leg][pos])
-        return out
+    def close_cost(self, near: int, leg: int, far: int) -> Cost:
+        """The least facility radius of the module docstring; INFEASIBLE without facilities."""
+        least, ys = self._least, self._ys.get(leg, ())
+        best = least if least is INFEASIBLE else least + far
+        pos = bisect_left(ys, (far - near + 1) >> 1)  # the first y with 2y >= far - near
+        if pos < len(ys) and near + ys[pos] < best:
+            best = near + ys[pos]
+        if pos and far - ys[pos - 1] < best:
+            best = far - ys[pos - 1]
+        return best
 
 
 def cost_gathering(u: PointOnSpider, v: PointOnSpider, index: FacilityIndex) -> Cost:
-    """Best facility radius for a cluster closed with ball user u, segment user v.
-
-    INFEASIBLE when the index holds no facility at all.
-    """
-    best: Cost = INFEASIBLE
-    off = index.off_leg_min(v.leg)
-    if off is not None:
-        best = off[0] + v.x
-    for y, _ in index.neighbors_on_leg(v.leg, v.x - u.x):
-        cand = max(u.x + y, abs(v.x - y))
-        if cand < best:
-            best = cand
-    return best
+    """Best facility radius for a cluster closed with ball user u, segment user v."""
+    return index.close_cost(u.x, v.leg, v.x)
 
 
 def best_facility(
@@ -98,8 +65,10 @@ def best_facility(
 ) -> Optional[tuple[int, int]]:
     """Exact best facility for a concrete cluster: (facility index, radius).
 
-    Full scan over facilities, used when reconstructing solutions; the
-    two-case formula above only bounds clusters the DP has not materialized.
+    Full scan over the facilities on the members' legs, used when
+    reconstructing solutions; close_cost only bounds clusters the DP has not
+    materialized. On a leg without members the radius grows with y, so that
+    leg's first entry, the least (y, index), is its only candidate.
     """
     spans: dict[int, tuple[int, int]] = {}
     for p in members:
@@ -107,7 +76,7 @@ def best_facility(
         spans[p.leg] = (min(lo, p.x), max(hi, p.x))
     best: Optional[tuple[int, int]] = None
     for leg, entries in index.by_leg.items():
-        for y, idx in entries:
+        for y, idx in entries if leg in spans else entries[:1]:
             radius = 0
             for mleg, (lo, hi) in spans.items():
                 if mleg == leg:

@@ -41,11 +41,11 @@ pass bounded at the optimum.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .cost_oracle import FacilityIndex, best_facility, cost_gathering
+from .cost_oracle import FacilityIndex, best_facility
 from .line_suffix import SuffixRow, suffix_costs_clustering, suffix_costs_gathering
 from .model import (
     Cost,
@@ -126,7 +126,6 @@ class _Prep:
     rank_in_leg: list[int]
     suffix: list[SuffixRow]  # by leg-1
     fac_index: Optional[FacilityIndex]
-    close_cost: Callable[[int, int], Cost]  # (ball-last position, segment-last position)
 
     def r_minus(self, pos: int) -> Cost:
         """Cost of finishing pos's leg single-leg from pos on (pos included)."""
@@ -154,15 +153,12 @@ def _prepare(inst: SpiderInstance, kind: str) -> _Prep:
     if kind == CLUSTERING:
         for members in leg_members:
             suffix.append(suffix_costs_clustering([xs[p] for p in members], inst.r))
-        close_cost: Callable[[int, int], Cost] = lambda u, v: xs[u] + xs[v]
     else:
         fac_index = FacilityIndex(inst.facilities or ())
         for leg0, members in enumerate(leg_members):
             suffix.append(
                 suffix_costs_gathering([xs[p] for p in members], leg0 + 1, fac_index, inst.r)
             )
-        index = fac_index
-        close_cost = lambda u, v: cost_gathering(points[u], points[v], index)
 
     return _Prep(
         inst=inst,
@@ -177,7 +173,6 @@ def _prepare(inst: SpiderInstance, kind: str) -> _Prep:
         rank_in_leg=rank_in_leg,
         suffix=suffix,
         fac_index=fac_index,
-        close_cost=close_cost,
     )
 
 
@@ -415,7 +410,10 @@ def _bitset_value(
     a pass that refuses every step costing more than T still reaches the final
     layer: a binary search finds it. Retiring each leg at its first swept user
     is a path of value top, so a finite top is the search's upper end, and its
-    first probe is the candidate just below top. Given a list, layers, it gets
+    first probe is the candidate just below top. In gathering every user is
+    at most the optimum from its cluster's facility, so the search starts at
+    the first candidate at or above the largest nearest-facility distance and
+    probes that candidate first. Given a list, layers, it gets
     the layers of the last feasible search pass, which ran at T, the initial
     one first; one more pass at T fills it when the search had no feasible
     pass.
@@ -507,6 +505,9 @@ def _bitset_value(
     if top != INFEASIBLE:
         hi = cands.index(top)
         mid = hi - 1
+    if prep.fac_index is not None:
+        cost = prep.fac_index.close_cost
+        lo = mid = bisect_left(cands, max(cost(-x, leg, x) for x, leg in zip(prep.xs, legs)))
     found = None  # the layers of the last feasible search pass
     while lo < hi:
         kept = None if layers is None else []
@@ -529,17 +530,28 @@ def _close_costs(prep: _Prep, u_pos: int, leg0: int) -> list[Cost]:
 
     costs[p - 1] is max(close cost, leftover) for the segment of the p users
     of the leg just beyond u_pos, p <= 2r-2; the leftover finishes the rest
-    of the leg single-leg. Empty when the leg has no user beyond u_pos.
+    of the leg single-leg. Empty when the leg has no user beyond u_pos. With
+    v the segment's last user, the close cost is the diameter x(u) + x(v) for
+    clustering, as no close is made on u's own leg, and the facility index's
+    close_cost for gathering.
     """
-    members = prep.leg_members[leg0]
+    members, xs, index = prep.leg_members[leg0], prep.xs, prep.fac_index
     values = prep.suffix[leg0].values
-    close_cost = prep.close_cost
     start = bisect_right(members, u_pos)
+    segment = members[start : start + 2 * prep.r - 2]
+    x_u, k = xs[u_pos], len(members) - start  # k users from v on; values[k - 1] finishes the rest
     costs: list[Cost] = []
-    for mi in range(start, min(start + 2 * prep.r - 2, len(members))):
-        cost = close_cost(u_pos, members[mi])
-        leftover = values[len(members) - mi - 1]
-        costs.append(cost if cost >= leftover else leftover)
+    if index is None:
+        for v in segment:
+            k -= 1
+            cost, leftover = x_u + xs[v], values[k]
+            costs.append(cost if cost >= leftover else leftover)
+    else:
+        close_cost, leg = index.close_cost, leg0 + 1
+        for v in segment:
+            k -= 1
+            cost, leftover = close_cost(x_u, leg, xs[v]), values[k]
+            costs.append(cost if cost >= leftover else leftover)
     return costs
 
 

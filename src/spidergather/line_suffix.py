@@ -31,22 +31,12 @@ class SuffixRow:
 
 
 def group_cost_gathering(leg: int, x_a: int, x_b: int, facilities: FacilityIndex) -> Cost:
-    """Best facility radius for one contiguous group [x_a, x_b] on `leg`.
+    """Best facility radius for one contiguous group [x_a, x_b] on `leg`, x_a <= x_b.
 
-    Either the cheapest off-leg facility serves the group through the center,
-    or an on-leg facility near the group's midpoint does; max distance to the
-    two group ends is unimodal in the facility coordinate, so the two
-    facilities adjacent to the midpoint suffice.
+    That is the facility index's close_cost(-x_a, leg, x_b); the cost_oracle
+    module docstring says why.
     """
-    best: Cost = INFEASIBLE
-    off = facilities.off_leg_min(leg)
-    if off is not None:
-        best = off[0] + x_b
-    for y, _ in facilities.neighbors_on_leg(leg, x_a + x_b):
-        cand = max(abs(x_a - y), abs(x_b - y))
-        if cand < best:
-            best = cand
-    return best
+    return facilities.close_cost(-x_a, leg, x_b)
 
 
 def _suffix_costs(coords: Sequence[int], r: int, group_cost) -> SuffixRow:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spidergather import PointOnSpider, distance
 from spidergather.cost_oracle import (
@@ -10,6 +10,8 @@ from spidergather.cost_oracle import (
     cost_gathering,
 )
 from conftest import points
+
+P = PointOnSpider
 
 
 def _index(facilities):
@@ -37,30 +39,58 @@ def test_cost_gathering_no_facilities_is_infeasible():
     assert got is INFEASIBLE
 
 
-def _scan_pair_cost(u, v, facilities):
-    return min(
-        (max(distance(u, f), distance(v, f)) for f in facilities),
-        default=None,
-    )
+def _scan_cost(members, facilities):
+    return min(max(distance(u, f) for u in members) for f in facilities)
 
 
+# The uses of close_cost against a full scan over the facilities. Closes: u
+# below v on different legs, the two ends of a candidate cluster. The
+# @examples pin the facility layouts around v: all on v's leg, so none is off
+# it; none on v's leg; one at the centre; one beyond v; an on-leg facility
+# tying with an off-leg one (radius 7 here); one at 2, just below the
+# half-integer turning point (x(v) - x(u)) / 2 of the on-leg radius.
 @given(
     points(4, 60),
     points(4, 60),
     st.lists(points(4, 60), min_size=1, max_size=6),
 )
+@example(P(1, 1), P(2, 6), [P(2, 1), P(2, 9)])
+@example(P(1, 1), P(2, 6), [P(1, 2), P(3, 5)])
+@example(P(1, 1), P(2, 6), [P(2, 0), P(3, 8)])
+@example(P(1, 1), P(2, 6), [P(2, 20), P(1, 30)])
+@example(P(1, 1), P(2, 6), [P(3, 1), P(2, 6)])
+@example(P(1, 1), P(2, 6), [P(2, 2)])
 def test_cost_gathering_matches_full_scan_on_cross_leg_pairs(u, v, facilities):
-    # The oracle contract covers the pairs the sweep asks about: u strictly
-    # below v on different legs (the two ends of a candidate cluster).
     if u.leg == v.leg or u.x > v.x:
         u, v = PointOnSpider(1, min(u.x, v.x)), PointOnSpider(2, max(u.x, v.x))
-    assert cost_gathering(u, v, _index(facilities)) == _scan_pair_cost(u, v, facilities)
+    assert cost_gathering(u, v, _index(facilities)) == _scan_cost((u, v), facilities)
 
 
+# Users: near = -x gives a user's distance to its nearest facility, with the
+# layouts pinned above. The third use, a one-leg group [x_a, x_b] at
+# near = -x_a, is tested in test_line_suffix.py.
+@given(points(4, 60), st.lists(points(4, 60), min_size=1, max_size=6))
+@example(P(2, 6), [P(2, 1), P(2, 9)])
+@example(P(2, 6), [P(1, 2), P(3, 5)])
+@example(P(2, 6), [P(2, 0), P(3, 8)])
+@example(P(2, 6), [P(2, 20), P(1, 30)])
+@example(P(2, 6), [P(3, 1), P(2, 13)])
+def test_close_cost_of_one_user_is_its_nearest_facility(v, facilities):
+    assert _index(facilities).close_cost(-v.x, v.leg, v.x) == _scan_cost((v,), facilities)
+
+
+# Ties on radius go to the least facility index, also when best_facility
+# reads only the first entry of a leg without members: two such legs whose
+# first facilities tie at 6, one holding a later index at the same point; a
+# member-free leg's facility tying at 8 with one on a member's leg, in both
+# index orders.
 @given(
     st.lists(points(3, 40), min_size=1, max_size=6),
     st.lists(points(3, 40), min_size=1, max_size=5),
 )
+@example([P(1, 4)], [P(3, 2), P(2, 2), P(3, 2), P(2, 7)])
+@example([P(1, 6), P(2, 6)], [P(1, 2), P(3, 2)])
+@example([P(1, 6), P(2, 6)], [P(3, 2), P(1, 2)])
 def test_best_facility_matches_scan(members, facilities):
     got_idx, got_radius = best_facility(members, _index(facilities))
     want_radius, want_idx = min(

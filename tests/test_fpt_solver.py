@@ -17,6 +17,7 @@ from spidergather import (
     SpiderInstance,
     brute_clustering,
     brute_gathering,
+    distance,
     enumerate_suffix_special,
     scale_instance,
     solve,
@@ -25,6 +26,7 @@ from spidergather import (
 )
 from spidergather import fpt_solver
 from spidergather.cli import bench_instance
+from spidergather.cost_oracle import FacilityIndex
 from spidergather.fpt_solver import StateCeilingExceeded, prune, run_dp
 from spidergather.model import SizeGuard, normalize
 from conftest import spider_instances
@@ -464,20 +466,14 @@ def test_bitset_witness_run_agrees_with_the_dict_dp(inst, kind, use_pruning):
         assert outcome(True, max_states) == outcome(False, max_states), max_states
 
 
-# A witness run on bitsets walks back through the layers of the last feasible
-# search pass, which ran at the optimum T, so no pass follows the search and
-# exactly one pass runs at T. Every probe lies below a finite top. When the
-# probe just below top fails, top is the optimum and no search pass was
-# feasible: the counting pass, the probe and one pass at top run. Passes are counted by profiling the engine's pass
-# function; the stats stay the dict DP's.
-@pytest.mark.parametrize(
-    "d, per_leg, r, value, top",
-    [(2, 2, 2, 36, 36), (3, 3, 2, 46, 61), (2, 2, 3, 57, INFEASIBLE)],
-)
-def test_bitset_witness_run_keeps_the_last_feasible_pass(monkeypatch, d, per_leg, r, value, top):
-    inst = bench_instance(0, d, users_per_leg=per_leg, r=r, coord_bound=100)
-    passes = []  # [bound, final layer] of each pass, in order
-    walked = []
+def _traced_witness_run(monkeypatch, inst, kind):
+    """A witness run forced onto bitsets, with the dict DP's run for reference.
+
+    Returns (dict DP run, bitset run, [bound, final layer] of each bitset pass
+    in order, the last layer of each layer list _walk got). Passes are counted
+    by profiling the engine's pass function.
+    """
+    passes, walked = [], []
     walk = fpt_solver._walk
 
     def profile(frame, event, arg):
@@ -493,16 +489,32 @@ def test_bitset_witness_run_keeps_the_last_feasible_pass(monkeypatch, d, per_leg
 
     monkeypatch.setattr(fpt_solver, "_walk", spy)
     with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=False):
-        want = run_dp(inst, CLUSTERING)
+        want = run_dp(inst, kind)
     monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: True)
     sys.setprofile(profile)
     try:
-        run = run_dp(inst, CLUSTERING)
+        run = run_dp(inst, kind)
     finally:
         sys.setprofile(None)
-    assert run.value == want.value == value and run.stats == want.stats
-    assert validate_clustering(inst, run.solution) == value
+    assert run.stats == want.stats
     assert passes[0][0] == INFEASIBLE and passes[0][1]
+    return want, run, passes, walked
+
+
+# A witness run on bitsets walks back through the layers of the last feasible
+# search pass, which ran at the optimum T, so no pass follows the search and
+# exactly one pass runs at T. Every probe lies below a finite top. When the
+# probe just below top fails, top is the optimum and no search pass was
+# feasible: the counting pass, the probe and one pass at top run.
+@pytest.mark.parametrize(
+    "d, per_leg, r, value, top",
+    [(2, 2, 2, 36, 36), (3, 3, 2, 46, 61), (2, 2, 3, 57, INFEASIBLE)],
+)
+def test_bitset_witness_run_keeps_the_last_feasible_pass(monkeypatch, d, per_leg, r, value, top):
+    inst = bench_instance(0, d, users_per_leg=per_leg, r=r, coord_bound=100)
+    want, run, passes, walked = _traced_witness_run(monkeypatch, inst, CLUSTERING)
+    assert run.value == want.value == value
+    assert validate_clustering(inst, run.solution) == value
     at_value = [final for bound, final in passes if bound == value]
     assert len(at_value) == 1 and at_value[0] and walked[-1] is at_value[0]
     assert [bound for bound, final in passes if final][-1] == value
@@ -510,6 +522,47 @@ def test_bitset_witness_run_keeps_the_last_feasible_pass(monkeypatch, d, per_leg
     assert all(bound < top for bound, _ in probes)
     if value == top:
         assert len(passes) == 3 and not passes[1][1]
+
+
+# No gathering solution costs less than its largest nearest-facility
+# distance, since each user is at most the value from its cluster's facility.
+@given(spider_instances(max_legs=3, max_users=7, max_x=60, with_facilities=True))
+def test_nearest_facility_bound_is_at_most_the_gathering_optimum(inst):
+    index = FacilityIndex(inst.facilities)
+    bound = max(index.close_cost(-u.x, u.leg, u.x) for u in inst.users)
+    solution = brute_gathering(inst)
+    assert solution is None or bound <= solution.value
+
+
+# A gathering search on bitsets starts at that bound, low: its first probe is
+# the first candidate at or above it, below top, which bounds it from above.
+# When low is the optimum, that probe is the only search pass and the walk
+# goes through its layers. When low lies below the optimum, the probe fails
+# and the search still ends at the optimum.
+@pytest.mark.parametrize(
+    "seed, facilities, low, value, top",
+    [
+        (0, ((2, 5), (2, 65), (2, 51), (2, 61)), 29, 29, 40),
+        (13, ((2, 87), (1, 83), (1, 85), (1, 28)), 49, 66, 82),
+    ],
+)
+def test_bitset_gathering_search_starts_at_the_nearest_facility_bound(
+    monkeypatch, seed, facilities, low, value, top
+):
+    users = bench_instance(seed, 2, users_per_leg=3, r=2, coord_bound=100).users
+    inst = _spider([(u.leg, u.x) for u in users], r=2, facilities=facilities)
+    assert max(min(distance(u, f) for f in inst.facilities) for u in users) == low
+    prep = fpt_solver._prepare(normalize(inst).instance, GATHERING)
+    assert max(prep.r_minus(members[0]) for members in prep.leg_members) == top
+    want, run, passes, walked = _traced_witness_run(monkeypatch, inst, GATHERING)
+    assert run.value == want.value == value
+    assert validate_gathering(inst, run.solution) == value
+    assert passes[1][0] == low < top
+    if low == value:
+        assert len(passes) == 2 and walked[-1] is passes[1][1]
+    else:
+        assert not passes[1][1]
+        assert passes[-1][0] == value and walked[-1] is passes[-1][1]
 
 
 # The engine rule on shapes timed on both engines, value-only, bitset time

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spidergather import INFEASIBLE, PointOnSpider, SpiderInstance, distance
 from spidergather.cost_oracle import FacilityIndex
@@ -85,11 +85,21 @@ def test_gathering_suffix_against_brute_force(coords, facilities, r):
         assert row.values[k] == want
 
 
+# The @examples pin the facility layouts around the group [3, 9] on leg 1: all
+# on leg 1, so none is off it; none on leg 1; one at the centre; one beyond
+# x_b; an on-leg facility tying with an off-leg one at radius 10; one at 5,
+# just below the group's half-integer midpoint.
 @given(
     st.integers(min_value=0, max_value=40),
     st.integers(min_value=0, max_value=40),
     st.lists(points(3, 60), min_size=1, max_size=5),
 )
+@example(3, 9, [PointOnSpider(1, 2), PointOnSpider(1, 12)])
+@example(3, 9, [PointOnSpider(2, 4), PointOnSpider(3, 1)])
+@example(3, 9, [PointOnSpider(1, 0), PointOnSpider(2, 5)])
+@example(3, 9, [PointOnSpider(1, 15), PointOnSpider(2, 9)])
+@example(3, 9, [PointOnSpider(2, 1), PointOnSpider(1, 13)])
+@example(3, 8, [PointOnSpider(1, 5)])
 def test_group_cost_matches_linear_scan(x_a, x_b, facilities):
     x_a, x_b = min(x_a, x_b), max(x_a, x_b)
     ends = (PointOnSpider(1, x_a), PointOnSpider(1, x_b))
