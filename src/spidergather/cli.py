@@ -40,6 +40,7 @@ from .fpt_solver import (
     run_dp,
     solve,
 )
+from .generators import bench_instance, gen_arrears, gen_sat, gen_spider
 from .model import (
     INFEASIBLE,
     MalformedInstanceError,
@@ -48,6 +49,7 @@ from .model import (
     Solution,
     SolutionError,
     SpiderInstance,
+    is_int,
     validate_clustering,
     validate_gathering,
 )
@@ -70,15 +72,11 @@ EXIT_INVALID = 2
 EXIT_TOO_LARGE = 3
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_field(obj: Any, key: str, where: str) -> int:
     if not isinstance(obj, dict) or key not in obj:
         raise MalformedInstanceError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if not _is_int(value):
+    if not is_int(value):
         raise MalformedInstanceError(f"{where}: field {key!r} must be an integer")
     return value
 
@@ -173,7 +171,7 @@ def sat_from_json(obj: Any) -> CnfFormula:
         if not isinstance(clause, list) or len(clause) != 3:
             raise MalformedInstanceError(f"clauses[{pos}] must have exactly 3 literals")
         for lit in clause:
-            if isinstance(lit, bool) or not isinstance(lit, int):
+            if not is_int(lit):
                 raise MalformedInstanceError(f"clauses[{pos}] literals must be integers")
         clauses.append(tuple(clause))
     return CnfFormula(
@@ -225,73 +223,6 @@ def _env_int(name: str, fallback: int) -> int:
 
 def _state_ceiling() -> int:
     return _env_int("SPIDERGATHER_STATE_CEILING", DEFAULT_STATE_CEILING)
-
-
-# ---------------------------------------------------------------------------
-# Instance generators (shared with the test suite).
-
-
-def gen_spider(
-    rng: random.Random,
-    *,
-    users: int,
-    legs: int,
-    r: int,
-    coord_bound: int = 100,
-    facilities: int = 0,
-) -> SpiderInstance:
-    """A random instance: uniform leg choice, coordinates in [0, coord_bound]."""
-    if users < 1 or legs < 1 or r < 1 or coord_bound < 0 or facilities < 0:
-        raise MalformedInstanceError("generator sizes must be positive")
-    user_points = tuple(
-        PointOnSpider(rng.randint(1, legs), rng.randint(0, coord_bound))
-        for _ in range(users)
-    )
-    facility_points = None
-    if facilities:
-        facility_points = tuple(
-            PointOnSpider(rng.randint(1, legs), rng.randint(0, coord_bound))
-            for _ in range(facilities)
-        )
-    return SpiderInstance(d=legs, users=user_points, facilities=facility_points, r=r)
-
-
-def gen_arrears(
-    rng: random.Random,
-    *,
-    duties: int,
-    budgets: int,
-    max_options: int = 2,
-    max_day: int = 8,
-    max_amount: int = 8,
-) -> ArrearsInstance:
-    """A random instance with strictly increasing dates, amounts, days, limits."""
-    if duties < 0 or budgets < 0 or max_options < 1:
-        raise MalformedInstanceError("generator sizes must be non-negative")
-    if max_day < max(max_options, budgets) or max_amount < max_options:
-        raise MalformedInstanceError("day and amount bounds too small for the sizes")
-    duty_list = []
-    for _ in range(duties):
-        count = rng.randint(1, max_options)
-        dates = sorted(rng.sample(range(1, max_day + 1), count))
-        amounts = sorted(rng.sample(range(1, max_amount + 1), count))
-        duty_list.append(tuple(zip(dates, amounts)))
-    days = sorted(rng.sample(range(1, max_day + 1), budgets))
-    limits = sorted(rng.sample(range(0, duties * max_amount + 1), budgets))
-    return ArrearsInstance(
-        duties=tuple(duty_list), budgets=tuple(zip(days, limits))
-    )
-
-
-def gen_sat(rng: random.Random, *, num_vars: int, num_clauses: int) -> CnfFormula:
-    """A random formula: three distinct variables per clause, random signs."""
-    if num_vars < 3 or num_clauses < 0:
-        raise MalformedInstanceError("need at least 3 variables and 0 clauses")
-    clauses = []
-    for _ in range(num_clauses):
-        picked = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append(tuple(v * rng.choice((1, -1)) for v in picked))
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +305,17 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("claimed infeasible, but the instance is feasible", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    if not _is_int(raw["value"]):
+    if not is_int(raw["value"]):
         raise MalformedInstanceError('value must be an integer or "infeasible"')
     if not isinstance(raw["clusters"], list) or not all(
-        isinstance(c, list) and all(_is_int(v) for v in c) for c in raw["clusters"]
+        isinstance(c, list) and all(is_int(v) for v in c) for c in raw["clusters"]
     ):
         raise MalformedInstanceError("clusters must be a list of lists of user indices")
     clusters = tuple(tuple(c) for c in raw["clusters"])
     facility_of = None
     if raw.get("facilities") is not None:
         facilities = raw["facilities"]
-        if not isinstance(facilities, list) or not all(_is_int(v) for v in facilities):
+        if not isinstance(facilities, list) or not all(is_int(v) for v in facilities):
             raise MalformedInstanceError("facilities must be a list of facility indices")
         facility_of = tuple(facilities)
     if kind == GATHERING and facility_of is None:
@@ -465,19 +396,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise MalformedInstanceError(f"bad range {text!r}, want A or A:B") from exc
     return low, high
-
-
-def bench_instance(
-    seed: int, d: int, *, users_per_leg: int, r: int, coord_bound: int
-) -> SpiderInstance:
-    """The timing workload: every leg carries exactly users_per_leg users."""
-    rng = random.Random(seed * 1_000_003 + d)
-    users = tuple(
-        PointOnSpider(leg, rng.randint(0, coord_bound))
-        for leg in range(1, d + 1)
-        for _ in range(users_per_leg)
-    )
-    return SpiderInstance(d=d, users=users, facilities=None, r=r)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

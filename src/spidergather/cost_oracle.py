@@ -55,11 +55,6 @@ class FacilityIndex:
         return best
 
 
-def cost_gathering(u: PointOnSpider, v: PointOnSpider, index: FacilityIndex) -> Cost:
-    """Best facility radius for a cluster closed with ball user u, segment user v."""
-    return index.close_cost(u.x, v.leg, v.x)
-
-
 def best_facility(
     members: Sequence[PointOnSpider], index: FacilityIndex
 ) -> Optional[tuple[int, int]]:

@@ -16,27 +16,15 @@ sweep visits just those; users beyond the cut can still appear in segments
 and suffix completions. From each state of the previous layer, u's layer
 takes "b" (u joins the ball), "c" (u's leg already retired: keep the state)
 and "d" (retire u's leg, finishing it single-leg from u); then it closes the
-balls that grew with u. No layer stores a ball of 2r-1 users (a close adds
-at least one segment user, and a cluster holds at most 2r-1) or an open ball
-whose S holds no leg with a later swept user (it can neither grow nor close
-again), so the final layer holds closed states only and the optimum is the
-least value among them.
+balls that grew with u. The comment above the closes in run_dp says which
+states a layer need not store.
 
 The stored-state count (SolveStats.states) is what the parameter buys: a
-layer is keyed by subsets of legs times the 2r-1 ball sizes. run_dp raises
-StateCeilingExceeded once the count passes max_states. It counts the keys
-that "c" keeps before it builds a layer, then the layer after its "b", "c"
-and "d" steps and again after its closes, so a layer whose kept keys pass
-the ceiling is not built, and one whose other steps pass it is not closed.
-
-Two engines run these transitions and store the same states, with the close
-rows of _close_rows. The dict DP maps each key S << shift_s | j to the least
-max cluster cost that reaches it. The bitset engine (_bitset_value) runs when
-r > 1, the sweep holds at least r/2 users per leg and its (2r-1) 2^d-bit
-layers fit BITSET_BITS; elsewhere they hold too few states to pay, or its
-masks pass a few MB. A witness run walks back (_walk) through the layers it
-kept: every value layer of the dict DP, or the bitset layers of the search
-pass bounded at the optimum.
+layer is keyed by subsets of legs times the 2r-1 ball sizes. Two engines
+store the same states: the dict DP in run_dp, which maps each key
+S << shift_s | j to the least max cluster cost that reaches it, and
+_bitset_value. _bitsets_pay picks one, _ceiling says where both check the
+state ceiling, and _walk how a witness run walks back.
 """
 
 from __future__ import annotations
@@ -189,8 +177,8 @@ def run_dp(
     With use_pruning=False the sweep visits every user (useful as a
     self-check; the answer must not change). With want_solution=False only
     the optimal value and stats are computed. Fewer users than r is
-    infeasible before any sweep. The module docstring says which engine
-    runs, and when StateCeilingExceeded is raised.
+    infeasible before any sweep. StateCeilingExceeded is raised once the
+    sweep has stored more than max_states states.
     """
     norm = normalize(instance)
     prep = _prepare(norm.instance, kind)
@@ -234,7 +222,9 @@ def run_dp(
         for key, val in prev.items():
             if key & u_s:
                 j = key & mask_j
-                if j < cap - 1:  # grow the ball with u; 2r-1 users cannot close
+                if j < cap - 1:  # grow the ball with u; 2r-1 users cannot close:
+                    # a close adds a segment user, and a cluster of 2r or more
+                    # splits into two of r or more at no higher cost.
                     # (S, j) is the only state that grows into (S, j + 1), and
                     # "c" and "d" keys lack u's leg, so the key is new.
                     nkey = key + 1
@@ -274,14 +264,14 @@ def run_dp(
         #
         # So a ball is closed only on the layer of its last user, and its
         # close cost depends only on the leg and p. Nothing else reads which
-        # user an open ball took last: "b" replaces it with u, and the final
-        # layer holds closed states only. Two open balls with the same (S, j)
+        # user an open ball took last: "b" replaces it with u, and no open
+        # ball outlives the last layer. Two open balls with the same (S, j)
         # have the same future, so the layer keeps only the cheaper one.
         #
-        # An open ball whose S holds no leg with a later swept user has no
-        # close on this layer either, so "b" drops it at once: by the count
-        # above, every user of an active leg up to prune's cut is swept, so a
-        # leg of S with a user beyond u has a later swept user.
+        # An open ball whose S holds no leg with a later swept user (live_u)
+        # has no close on this layer either, so "b" and "d" drop it at once:
+        # by the count above, every user of an active leg up to prune's cut is
+        # swept, so a leg of S with a user beyond u has a later swept user.
         #
         # No ball is closed on u's own leg, because "c" or "d" reaches the
         # same closed state at no higher value. A ball of u alone closed there
@@ -313,10 +303,9 @@ def run_dp(
         if states > max_states:
             raise _ceiling(states, max_states)
 
-    # Every state of the final layer is closed. A leg still active in one has
-    # put every swept user in one of at most d-1 closed balls of at most 2r-2
-    # users, fewer than the (2r-1)d that prune sweeps on a cut leg, so it has
-    # no unswept user left.
+    # A leg still active in a final state has put every swept user in one of
+    # at most d-1 closed balls of at most 2r-2 users, fewer than the (2r-1)d
+    # that prune sweeps on a cut leg, so it has no unswept user left.
     value, best_key = INFEASIBLE, 0
     for key, val in prev.items():
         if val < value:
@@ -334,11 +323,20 @@ def run_dp(
 
 
 def _bitsets_pay(r: int, d_users: int, swept: int) -> bool:
+    """Bitsets pay when r > 1, the sweep holds r/2 users per leg or more and
+    the (2r-1) 2^d-bit layers fit BITSET_BITS: the dict DP is faster on sparser
+    or narrower layers, and wider ones make masks of several MB.
+    """
     low, high = BITSET_BITS
     return r > 1 and 2 * swept >= r * d_users and low <= (2 * r - 1) << d_users <= high
 
 
 def _ceiling(states: int, max_states: int) -> StateCeilingExceeded:
+    """The error once a run's stored states pass max_states.
+
+    Both engines check before a layer is built (with the keys "c" keeps),
+    after its "b", "c" and "d" steps, and after its closes.
+    """
     return StateCeilingExceeded(f"sweep DP stored {states} states, ceiling is {max_states}")
 
 
@@ -395,28 +393,23 @@ def _bitset_value(
     denser than the dict DP's keys, whose j field has 2^shift_s values for
     2r-1 sizes. Each transition moves keys by one offset, so it is a shift and
     a mask per layer. With A = L & M_u the keys of layer L that hold u's leg,
-    "c" keeps L ^ A, "b" is ((A & J_grow) << 1) & LIVE, "d" is
-    (A >> u_s) & (J_0 | LIVE), and the closes on leg l of the grown balls of
-    size j are (B & J_j & M_l) >> (j + l_s), where B is the "b" result.
-    LIVE holds the keys whose S has a leg with a later swept user; its
-    complement grows by one shift when a leg's last swept user passes.
+    "c" keeps L ^ A, "b" is ((A & J_grow) << 1) & ALIVE, "d" is
+    (A >> u_s) & ALIVE, and the closes on leg l of the grown balls of size j
+    are (B & J_j & M_l) >> (j + l_s), where B is the "b" result. ALIVE holds
+    the closed keys and the open keys whose S has a leg with a later swept
+    user; its complement grows by one shift when a leg's last swept user
+    passes.
 
     A bitset holds no values. One unbounded pass takes "d" and the closes only
     at finite costs, as the dict DP stores finite values only, so it reaches
-    exactly the dict DP's keys: it counts and checks them at the same points,
-    and keeps each layer's close rows for the sizes and legs of B. Every
-    bounded pass reaches a subset of its keys, so no other close fires in one.
-    The optimum is the least T, 0, a finite r_minus or a row's cost, at which
-    a pass that refuses every step costing more than T still reaches the final
-    layer: a binary search finds it. Retiring each leg at its first swept user
-    is a path of value top, so a finite top is the search's upper end, and its
-    first probe is the candidate just below top. In gathering every user is
-    at most the optimum from its cluster's facility, so the search starts at
-    the first candidate at or above the largest nearest-facility distance and
-    probes that candidate first. Given a list, layers, it gets
-    the layers of the last feasible search pass, which ran at T, the initial
-    one first; one more pass at T fills it when the search had no feasible
-    pass.
+    exactly the dict DP's keys: it counts them as the dict DP does, and keeps
+    each layer's close rows for the sizes and legs of B. Every bounded pass
+    reaches a subset of its keys, so no other close fires in one. The optimum
+    is the least T, 0, a finite r_minus or a row's cost, at which a pass that
+    refuses every step costing more than T still reaches the final layer: a
+    binary search finds it. Given a list, layers, it gets the layers of the
+    last feasible search pass, which ran at T, the initial one first; one more
+    pass at T fills it when the search had no feasible pass.
     """
     r, d_users, legs, leg_members = prep.r, prep.d_users, prep.legs, prep.leg_members
     cap = 2 * r - 1
@@ -443,9 +436,8 @@ def _bitset_value(
     def sweep_at(bound: Cost, keep: Optional[list[int]] = None) -> tuple[int, int]:
         first = not tables
         layer, states, count = 1 << full_s, 1, 1
-        dead, was = (1 << cap) - 1, full_s
+        dead, was = (1 << cap) - 2, full_s  # the open keys of S = {}; no closed key is dead
         alive = every ^ dead
-        keep_d = j_mask[0] | alive
         if keep is not None:
             keep.append(layer)
         for i, u_pos in enumerate(sweep):
@@ -453,7 +445,6 @@ def _bitset_value(
                 dead |= dead << (was - live[i])
                 was = live[i]
                 alive = every ^ dead
-                keep_d = j_mask[0] | alive
             u_s = cap << (legs[u_pos] - 1)
             a = layer & leg_mask[u_s]
             if first and states + 2 * count > max_states:
@@ -463,7 +454,7 @@ def _bitset_value(
             b = ((a & grow) << 1) & alive
             cur = (layer ^ a) | b
             if r_minus[i] != INFEASIBLE and r_minus[i] <= bound:
-                cur |= (a >> u_s) & keep_d
+                cur |= (a >> u_s) & alive
             if first:
                 built = states + cur.bit_count()
                 if built > max_states:
@@ -499,6 +490,10 @@ def _bitset_value(
         | {v for v in r_minus if v != INFEASIBLE}
         | {c for table in tables for _, row in table for c, _ in row}
     )
+    # Retiring each leg at its first swept user costs top: a finite top is the
+    # upper end, probed just below first. No gathering user is farther from
+    # its facility than the optimum, so a gathering search starts at, and
+    # first probes, the least candidate >= every nearest-facility distance.
     top = max(prep.r_minus(members[0]) for members in leg_members)
     lo, hi = 0, len(cands) - 1
     mid = (lo + hi) // 2
@@ -581,6 +576,9 @@ def _walk(
     A step is (layer, tag, key, leg, p): the key it reaches there and a close's
     leg and segment size. has(layer, key) holds if the layer reaches key at value
     at most bound, the optimum: any step at most bound from a key below will do.
+    layers holds the initial layer and one per swept user: the dict DP's value
+    layers, where has compares values, or the bitset layers of a search pass
+    bounded at the optimum, where has tests membership.
     """
     steps: list[tuple[int, str, int, int, int]] = []
     for i in range(len(layers) - 1, 0, -1):

@@ -30,15 +30,6 @@ class SuffixRow:
     first_size: tuple[int, ...]
 
 
-def group_cost_gathering(leg: int, x_a: int, x_b: int, facilities: FacilityIndex) -> Cost:
-    """Best facility radius for one contiguous group [x_a, x_b] on `leg`, x_a <= x_b.
-
-    That is the facility index's close_cost(-x_a, leg, x_b); the cost_oracle
-    module docstring says why.
-    """
-    return facilities.close_cost(-x_a, leg, x_b)
-
-
 def _suffix_costs(coords: Sequence[int], r: int, group_cost) -> SuffixRow:
     q = len(coords)
     values: list[Cost] = [0] * (q + 1)
@@ -66,6 +57,5 @@ def suffix_costs_gathering(
     coords: Sequence[int], leg: int, facilities: FacilityIndex, r: int
 ) -> SuffixRow:
     """Suffix table for min-max facility radius on one leg; coords ascending."""
-    return _suffix_costs(
-        coords, r, lambda lo, hi: group_cost_gathering(leg, lo, hi, facilities)
-    )
+    cost = facilities.close_cost
+    return _suffix_costs(coords, r, lambda lo, hi: cost(-lo, leg, hi))

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional
 
 INFEASIBLE: float = math.inf
 
 # Finite costs are always ints; INFEASIBLE is the only float a Cost can hold.
 Cost = int | float
+
+
+def is_int(value: Any) -> bool:
+    """An int that is not a bool, the only integer any field or index accepts."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class MalformedInstanceError(ValueError):
@@ -59,9 +64,9 @@ class PointOnSpider:
     x: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.leg, int) or isinstance(self.leg, bool) or self.leg < 1:
+        if not is_int(self.leg) or self.leg < 1:
             raise MalformedInstanceError(f"leg must be a positive int, got {self.leg!r}")
-        if not isinstance(self.x, int) or isinstance(self.x, bool) or self.x < 0:
+        if not is_int(self.x) or self.x < 0:
             raise MalformedInstanceError(f"coordinate must be a non-negative int, got {self.x!r}")
 
 
@@ -91,9 +96,9 @@ class SpiderInstance:
         object.__setattr__(self, "users", tuple(self.users))
         if self.facilities is not None:
             object.__setattr__(self, "facilities", tuple(self.facilities))
-        if not isinstance(self.d, int) or self.d < 0:
+        if not is_int(self.d) or self.d < 0:
             raise MalformedInstanceError(f"d must be a non-negative int, got {self.d!r}")
-        if not isinstance(self.r, int) or self.r < 1:
+        if not is_int(self.r) or self.r < 1:
             raise MalformedInstanceError(f"r must be an int >= 1, got {self.r!r}")
         for p in self.users:
             if p.leg > self.d:
@@ -131,14 +136,12 @@ class Normalized:
     user-bearing legs come first and facility-only legs after, each group in
     ascending original order. Facilities are sorted by (x, normalized leg,
     original position). user_order[i] / facility_order[i] give the original
-    index of the normalized item i; leg_map sends original leg numbers to
-    normalized ones.
+    index of the normalized item i.
     """
 
     instance: SpiderInstance
     user_order: tuple[int, ...]
     facility_order: tuple[int, ...]
-    leg_map: dict[int, int]
 
 
 def normalize(instance: SpiderInstance) -> Normalized:
@@ -179,7 +182,6 @@ def normalize(instance: SpiderInstance) -> Normalized:
         instance=norm,
         user_order=tuple(order),
         facility_order=facility_order,
-        leg_map=leg_map,
     )
 
 
@@ -188,7 +190,7 @@ def scale_instance(instance: SpiderInstance, factor: int) -> SpiderInstance:
 
     Distances scale linearly, so optimal values scale by the same factor.
     """
-    if not isinstance(factor, int) or factor < 1:
+    if not is_int(factor) or factor < 1:
         raise MalformedInstanceError(f"scale factor must be a positive int, got {factor!r}")
     return SpiderInstance(
         d=instance.d,
@@ -207,7 +209,7 @@ def _check_partition(instance: SpiderInstance, solution: Solution) -> None:
         if not cluster:
             raise NotAPartition("empty cluster")
         for i in cluster:
-            if not isinstance(i, int) or i < 0 or i >= n:
+            if not is_int(i) or i < 0 or i >= n:
                 raise NotAPartition(f"user index {i!r} out of range")
             if i in seen:
                 raise NotAPartition(f"user {i} appears in more than one cluster")
@@ -257,7 +259,7 @@ def validate_gathering(instance: SpiderInstance, solution: Solution) -> int:
         )
     value = 0
     for cluster, fidx in zip(solution.clusters, solution.facility_of):
-        if not isinstance(fidx, int) or fidx < 0 or fidx >= len(instance.facilities):
+        if not is_int(fidx) or fidx < 0 or fidx >= len(instance.facilities):
             raise MissingFacility(f"facility index {fidx!r} out of range")
         f = instance.facilities[fidx]
         for i in cluster:

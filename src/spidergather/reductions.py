@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     MalformedInstanceError,
     PointOnSpider,
     SizeGuard,
     SpiderInstance,
+    is_int,
 )
 
 log = logging.getLogger(__name__)
@@ -58,7 +59,7 @@ class ArrearsInstance:
                 raise MalformedInstanceError(f"duty {i} has no options")
             last_a = 0
             for a, p in options:
-                if not isinstance(a, int) or not isinstance(p, int) or a < 1 or p < 1:
+                if not is_int(a) or not is_int(p) or a < 1 or p < 1:
                     raise MalformedInstanceError(
                         f"duty {i} option ({a!r}, {p!r}) must be ints >= 1"
                     )
@@ -67,7 +68,7 @@ class ArrearsInstance:
                 last_a = a
         last_b = 0
         for j, (b, q) in enumerate(self.budgets):
-            if not isinstance(b, int) or not isinstance(q, int) or b < 1 or q < 0:
+            if not is_int(b) or not is_int(q) or b < 1 or q < 0:
                 raise MalformedInstanceError(f"budget {j} ({b!r}, {q!r}) out of range")
             if b <= last_b:
                 raise MalformedInstanceError("budget days must strictly increase")
@@ -96,7 +97,7 @@ def check_arrears(instance: ArrearsInstance, z: Sequence[int]) -> ArrearsCheck:
     chosen: list[tuple[int, int]] = []
     for i, zi in enumerate(z):
         options = instance.duties[i]
-        if not isinstance(zi, int) or zi < 1 or zi > len(options):
+        if not is_int(zi) or zi < 1 or zi > len(options):
             raise IndexError(f"choice {zi!r} for duty {i} not in 1..{len(options)}")
         chosen.append(options[zi - 1])
     for j, (day, limit) in enumerate(instance.budgets):
@@ -173,7 +174,6 @@ class SpiderReduction:
 
     instance: SpiderInstance
     threshold: int
-    L: int
     duty_legs: tuple[int, ...]
 
 
@@ -227,7 +227,7 @@ def arrears_to_spider(
         next_leg += 1
 
     spider = SpiderInstance(d=next_leg - 1, users=tuple(users), facilities=None, r=r)
-    return SpiderReduction(instance=spider, threshold=2 * L, L=L, duty_legs=duty_legs)
+    return SpiderReduction(instance=spider, threshold=2 * L, duty_legs=duty_legs)
 
 
 @dataclass(frozen=True)
@@ -243,13 +243,13 @@ class CnfFormula:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        if not isinstance(self.num_vars, int) or self.num_vars < 1:
+        if not is_int(self.num_vars) or self.num_vars < 1:
             raise MalformedInstanceError(f"num_vars must be >= 1, got {self.num_vars!r}")
         for clause in self.clauses:
             if len(clause) != 3:
                 raise MalformedInstanceError(f"clause {clause} must have 3 literals")
             for lit in clause:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
+                if not is_int(lit) or lit == 0 or abs(lit) > self.num_vars:
                     raise MalformedInstanceError(f"bad literal {lit!r} in {clause}")
 
 

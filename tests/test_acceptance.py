@@ -36,7 +36,8 @@ from spidergather import (
     validate_gathering,
     verify_gadget,
 )
-from spidergather.cli import gen_arrears, gen_sat, gen_spider, main
+from spidergather.cli import main
+from spidergather.generators import gen_arrears, gen_sat, gen_spider
 from spidergather.fpt_solver import run_dp
 
 _CLOSURE = {"validated": 0, "failures": 0}

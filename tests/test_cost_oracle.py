@@ -4,11 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from spidergather import PointOnSpider, distance
-from spidergather.cost_oracle import (
-    FacilityIndex,
-    best_facility,
-    cost_gathering,
-)
+from spidergather.cost_oracle import FacilityIndex, best_facility
 from conftest import points
 
 P = PointOnSpider
@@ -22,21 +18,18 @@ def test_cost_gathering_prefers_an_off_leg_facility_near_center():
     facilities = (PointOnSpider(3, 1), PointOnSpider(2, 50))
     # u on leg 1 at 4, v on leg 2 at 6: serving both from (3, 1) costs
     # max(4 + 1, 6 + 1) = 7; the on-leg facility at 50 costs 54.
-    got = cost_gathering(PointOnSpider(1, 4), PointOnSpider(2, 6), _index(facilities))
-    assert got == 7
+    assert _index(facilities).close_cost(4, 2, 6) == 7
 
 
 def test_cost_gathering_uses_on_leg_facility_between_the_pair():
     facilities = (PointOnSpider(2, 1),)
-    got = cost_gathering(PointOnSpider(1, 4), PointOnSpider(2, 6), _index(facilities))
-    assert got == max(4 + 1, 6 - 1) == 5
+    assert _index(facilities).close_cost(4, 2, 6) == max(4 + 1, 6 - 1) == 5
 
 
 def test_cost_gathering_no_facilities_is_infeasible():
     from spidergather import INFEASIBLE
 
-    got = cost_gathering(PointOnSpider(1, 4), PointOnSpider(2, 6), _index(()))
-    assert got is INFEASIBLE
+    assert _index(()).close_cost(4, 2, 6) is INFEASIBLE
 
 
 def _scan_cost(members, facilities):
@@ -63,7 +56,7 @@ def _scan_cost(members, facilities):
 def test_cost_gathering_matches_full_scan_on_cross_leg_pairs(u, v, facilities):
     if u.leg == v.leg or u.x > v.x:
         u, v = PointOnSpider(1, min(u.x, v.x)), PointOnSpider(2, max(u.x, v.x))
-    assert cost_gathering(u, v, _index(facilities)) == _scan_cost((u, v), facilities)
+    assert _index(facilities).close_cost(u.x, v.leg, v.x) == _scan_cost((u, v), facilities)
 
 
 # Users: near = -x gives a user's distance to its nearest facility, with the

@@ -25,9 +25,9 @@ from spidergather import (
     validate_gathering,
 )
 from spidergather import fpt_solver
-from spidergather.cli import bench_instance
 from spidergather.cost_oracle import FacilityIndex
 from spidergather.fpt_solver import StateCeilingExceeded, prune, run_dp
+from spidergather.generators import bench_instance
 from spidergather.model import SizeGuard, normalize
 from conftest import spider_instances
 
@@ -329,11 +329,13 @@ def test_stats_report_sweep_sizes():
 # {leg 1} after (1, 7), or empty, can neither grow nor close, because no leg
 # in S has a user left to sweep. Storing both kinds gives 38 states here; the
 # optimum is 7 either way, from {(1, 0), (1, 7)}, {(2, 5), (2, 8)} and
-# {(2, 9), (2, 11)}.
+# {(2, 9), (2, 11)}. Both engines, forced, store the same 19.
+@pytest.mark.parametrize("bitsets", [False, True], ids=["dict", "bitsets"])
 @pytest.mark.parametrize("want_solution", [False, True])
-def test_open_balls_that_cannot_close_are_not_stored(want_solution):
+def test_open_balls_that_cannot_close_are_not_stored(want_solution, bitsets):
     inst = _spider(((1, 0), (1, 7), (2, 5), (2, 8), (2, 9), (2, 11)), r=2)
-    run = run_dp(inst, CLUSTERING, want_solution=want_solution)
+    with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=bitsets):
+        run = run_dp(inst, CLUSTERING, want_solution=want_solution)
     assert run.value == 7 == brute_clustering(inst).value == enumerate_suffix_special(inst)
     assert run.stats.states == 19
     if want_solution:

@@ -5,11 +5,7 @@ from hypothesis import example, given, strategies as st
 from spidergather import INFEASIBLE, PointOnSpider, SpiderInstance, distance
 from spidergather.cost_oracle import FacilityIndex
 from spidergather.exact_oracle import brute_clustering, brute_gathering
-from spidergather.line_suffix import (
-    group_cost_gathering,
-    suffix_costs_clustering,
-    suffix_costs_gathering,
-)
+from spidergather.line_suffix import suffix_costs_clustering, suffix_costs_gathering
 from conftest import points
 
 coords_lists = st.lists(
@@ -106,5 +102,5 @@ def test_group_cost_matches_linear_scan(x_a, x_b, facilities):
     want = min(
         max(distance(u, f) for u in ends) for f in facilities
     )
-    got = group_cost_gathering(1, x_a, x_b, FacilityIndex(tuple(facilities)))
-    assert got == want
+    row = suffix_costs_gathering((x_a, x_b), 1, FacilityIndex(tuple(facilities)), 2)
+    assert row.values[2] == want  # one group of both users

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from spidergather import (
     INFEASIBLE,
     MalformedInstanceError,
+    MissingFacility,
     NotAPartition,
     PointOnSpider,
     SizeViolation,
@@ -63,6 +64,29 @@ def test_point_rejects_bad_values():
         PointOnSpider(True, 3)
 
 
+_ONE_USER = SpiderInstance(
+    d=1, users=(PointOnSpider(1, 0),), facilities=(PointOnSpider(1, 0),), r=1
+)
+
+
+# A bool is an int to Python, but no field or index takes one. Each is refused
+# with the error that an out-of-range int raises at the same place.
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (MalformedInstanceError, lambda: SpiderInstance(d=True, users=(), facilities=None, r=1)),
+        (MalformedInstanceError, lambda: SpiderInstance(d=1, users=(), facilities=None, r=True)),
+        (MalformedInstanceError, lambda: scale_instance(_ONE_USER, True)),
+        (NotAPartition, lambda: validate_clustering(_ONE_USER, Solution(((False,),), 0))),
+        (MissingFacility, lambda: validate_gathering(_ONE_USER, Solution(((0,),), 0, (False,)))),
+    ],
+    ids=["d", "r", "scale factor", "cluster index", "facility index"],
+)
+def test_booleans_are_not_ints(error, call):
+    with pytest.raises(error):
+        call()
+
+
 def test_instance_rejects_leg_out_of_range():
     with pytest.raises(MalformedInstanceError):
         SpiderInstance(d=2, users=(PointOnSpider(3, 1),), facilities=None, r=1)
@@ -83,7 +107,6 @@ def test_normalize_sorts_users_and_compacts_legs():
     )
     norm = normalize(inst)
     assert norm.user_order == (2, 1, 0)
-    assert norm.leg_map == {1: 1, 2: 2}
     assert norm.instance.d == 2
     assert norm.instance.users == (
         PointOnSpider(2, 1),
@@ -100,7 +123,7 @@ def test_normalize_keeps_facility_only_legs_after_user_legs():
         r=1,
     )
     norm = normalize(inst)
-    assert norm.leg_map == {3: 1, 1: 2}
+    assert norm.instance.users == (PointOnSpider(1, 2),)
     assert norm.instance.facilities == (PointOnSpider(2, 4),)
 
     inst = SpiderInstance(
@@ -110,7 +133,7 @@ def test_normalize_keeps_facility_only_legs_after_user_legs():
         r=1,
     )
     norm = normalize(inst)
-    assert norm.leg_map == {2: 1, 1: 2, 3: 3}
+    assert norm.instance.users == (PointOnSpider(1, 2),)
     assert norm.instance.facilities == (PointOnSpider(2, 4), PointOnSpider(3, 4))
 
 

@@ -11,6 +11,7 @@ from spidergather import (
     CLUSTERING,
     CnfFormula,
     INFEASIBLE,
+    MalformedInstanceError,
     PointOnSpider,
     ReductionTooLarge,
     SpiderInstance,
@@ -59,6 +60,24 @@ def test_check_arrears_rejects_bad_choice_vectors():
         check_arrears(RUNNING_EXAMPLE, (3,))
     with pytest.raises(IndexError):
         check_arrears(RUNNING_EXAMPLE, (0,))
+
+
+# A bool is an int to Python, but no amount, day, choice or literal takes one.
+# Each is refused with the error that an out-of-range int raises there.
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (MalformedInstanceError, lambda: ArrearsInstance(duties=(((1, True),),), budgets=())),
+        (MalformedInstanceError, lambda: ArrearsInstance(duties=(), budgets=((1, False),))),
+        (IndexError, lambda: check_arrears(RUNNING_EXAMPLE, (True,))),
+        (MalformedInstanceError, lambda: CnfFormula(num_vars=True, clauses=())),
+        (MalformedInstanceError, lambda: CnfFormula(num_vars=1, clauses=((True, 1, 1),))),
+    ],
+    ids=["amount", "budget limit", "choice", "num_vars", "literal"],
+)
+def test_booleans_are_not_ints(error, call):
+    with pytest.raises(error):
+        call()
 
 
 def test_normalize_drops_dominated_options():
@@ -118,7 +137,6 @@ def test_normalize_preserves_feasibility(inst):
 
 def test_arrears_to_spider_frozen_example():
     reduction = arrears_to_spider(RUNNING_EXAMPLE)
-    assert reduction.L == 3
     assert reduction.threshold == 6
     inst = reduction.instance
     assert inst.r == 3
@@ -143,7 +161,7 @@ def test_arrears_to_spider_empty_budgets_builds_only_legs():
     inst = ArrearsInstance(duties=(((1, 1), (2, 2)),), budgets=())
     reduction = arrears_to_spider(inst)
     # L = 3, r = 3: the long leg and the r fallback short legs, no budget legs.
-    assert reduction.L == 3
+    assert reduction.threshold == 2 * 3
     assert len(reduction.instance.users) == 2 * 3 - 1 + 3
     assert reduction.instance.d == 4
 
