@@ -40,12 +40,12 @@ class FacilityIndex:
         self.by_leg: dict[int, tuple[tuple[int, int], ...]] = {
             leg: tuple(entries) for leg, entries in by_leg.items()
         }
-        self._ys = {leg: tuple(x for x, _ in entries) for leg, entries in by_leg.items()}
-        self._least: Cost = min((ys[0] for ys in self._ys.values()), default=INFEASIBLE)
+        self.ys = {leg: tuple(x for x, _ in entries) for leg, entries in by_leg.items()}
+        self._least: Cost = min((ys[0] for ys in self.ys.values()), default=INFEASIBLE)
 
     def close_cost(self, near: int, leg: int, far: int) -> Cost:
         """The least facility radius of the module docstring; INFEASIBLE without facilities."""
-        least, ys = self._least, self._ys.get(leg, ())
+        least, ys = self._least, self.ys.get(leg, ())
         best = least if least is INFEASIBLE else least + far
         pos = bisect_left(ys, (far - near + 1) >> 1)  # the first y with 2y >= far - near
         if pos < len(ys) and near + ys[pos] < best:

@@ -20,7 +20,9 @@ balls that grew with u. The comment above the closes in run_dp says which
 states a layer need not store.
 
 The stored-state count (SolveStats.states) is what the parameter buys: a
-layer is keyed by subsets of legs times the 2r-1 ball sizes. Two engines
+layer is keyed by subsets of legs times the 2r-1 ball sizes. Legs that are
+copies of each other cut that down: _group_ends says where a layer keeps one
+key for all the keys that differ only in which copies S holds. Two engines
 store the same states: the dict DP in run_dp, which maps each key
 S << shift_s | j to the least max cluster cost that reaches it, and
 _bitset_value. _bitsets_pay picks one, _ceiling says where both check the
@@ -29,6 +31,7 @@ state ceiling, and _walk how a witness run walks back.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -65,7 +68,7 @@ class StateCeilingExceeded(SizeGuard):
 class SolveStats:
     """Size measurements of one DP run."""
 
-    states: int  # value-table entries stored, all layers, infeasible never stored
+    states: int  # keys stored over all layers after the quotient; infeasible ones never
     swept_users: int
     legs: int
 
@@ -114,6 +117,7 @@ class _Prep:
     rank_in_leg: list[int]
     suffix: list[SuffixRow]  # by leg-1
     fac_index: Optional[FacilityIndex]
+    classes: tuple[tuple[int, ...], ...]  # legs-1 of each set of two or more identical legs
 
     def r_minus(self, pos: int) -> Cost:
         """Cost of finishing pos's leg single-leg from pos on (pos included)."""
@@ -148,6 +152,24 @@ def _prepare(inst: SpiderInstance, kind: str) -> _Prep:
                 suffix_costs_gathering([xs[p] for p in members], leg0 + 1, fac_index, inst.r)
             )
 
+    # Legs are identical when their users, and for gathering their facilities,
+    # lie at the same coordinates: the map between same-rank users on two of
+    # them is then a symmetry of the instance. Sorted by those coordinates,
+    # identical legs are next to each other.
+    ys = fac_index.ys if fac_index is not None else {}
+    shapes = []
+    for leg0, members in enumerate(leg_members):
+        shapes.append([ys.get(leg0 + 1, ()), *map(xs.__getitem__, members)])
+    by_shape = sorted(range(d_users), key=shapes.__getitem__)
+    classes = []
+    start = 0
+    for k in range(1, d_users + 1):
+        if k == d_users or shapes[by_shape[k]] != shapes[by_shape[start]]:
+            if k - start > 1:
+                classes.append(tuple(by_shape[start:k]))
+            start = k
+    classes.sort()
+
     return _Prep(
         inst=inst,
         kind=kind,
@@ -161,6 +183,7 @@ def _prepare(inst: SpiderInstance, kind: str) -> _Prep:
         rank_in_leg=rank_in_leg,
         suffix=suffix,
         fac_index=fac_index,
+        classes=tuple(classes),
     )
 
 
@@ -187,22 +210,26 @@ def run_dp(
         return DpRun(INFEASIBLE, None, SolveStats(0, 0, 0))
 
     sweep = prune(norm.instance) if use_pruning else tuple(range(n))
+    ends = _group_ends(prep, sweep) if prep.classes else {}
     shift_s = (2 * r).bit_length()
     if _bitsets_pay(r, d_users, len(sweep)):
         kept: Optional[list[int]] = [] if want_solution else None
-        value, states = _bitset_value(prep, sweep, max_states, kept)
+        value, states = _bitset_value(prep, sweep, ends, max_states, kept)
         stats = SolveStats(states, len(sweep), d_users)
         if value == INFEASIBLE or kept is None:
             return DpRun(value, None, stats)
         final = kept[-1]
-        steps = _walk(prep, sweep, kept, (final & -final).bit_length() - 1, 2 * r - 1, value,
-                      lambda layer, key: bool(layer >> key & 1))
-        return DpRun(value, _reconstruct(prep, norm, sweep, steps, value), stats)
+        steps, moves = _walk(prep, sweep, kept, (final & -final).bit_length() - 1, 2 * r - 1,
+                             value, lambda layer, key: bool(layer >> key & 1), ends)
+        return DpRun(value, _reconstruct(prep, norm, sweep, steps, moves, value), stats)
 
     live = _live(prep, sweep, 1 << shift_s)
     mask_j = (1 << shift_s) - 1
     full_s = (1 << d_users) - 1
     cap = 2 * r - 1
+    # lows[c][k]: the key bits of class c's k lowest legs; lows[c][-1] is all of c
+    lows = {c: [sum(1 << (leg0 + shift_s) for leg0 in c[:k]) for k in range(len(c) + 1)]
+            for c in prep.classes}
     prev: dict[int, Cost] = {full_s << shift_s: 0}
     layers: list[dict[int, Cost]] = []  # a witness run's finished value layers
     states = 1  # the initial layer
@@ -211,7 +238,7 @@ def run_dp(
         u_s = 1 << (prep.legs[u_pos] - 1 + shift_s)
         # "b", "c" and "d" make at most two keys from each previous key, so
         # only a layer that could pass the ceiling counts the keys "c" keeps.
-        if states + 2 * len(prev) > max_states:
+        if states + 2 * len(prev) > max_states and u_pos not in ends:
             kept = states + sum(1 for key in prev if not key & u_s)
             if kept > max_states:
                 raise _ceiling(kept, max_states)
@@ -248,7 +275,7 @@ def run_dp(
         if want_solution:
             layers.append(prev)
         prev = cur
-        if states + len(cur) > max_states:
+        if states + len(cur) > max_states and u_pos not in ends:
             raise _ceiling(states + len(cur), max_states)
 
         # Close the open cluster with a segment of p users on an active leg
@@ -299,6 +326,16 @@ def run_dp(
                     if old is None or nv < old:
                         cur[nkey] = nv
 
+        if u_pos in ends:  # keep each orbit's canonical key at the orbit's least value
+            merged: dict[int, Cost] = {}
+            for key, val in cur.items():
+                for c in ends[u_pos]:
+                    held = key & lows[c][-1]
+                    key ^= held ^ lows[c][held.bit_count()]
+                if key not in merged or val < merged[key]:
+                    merged[key] = val
+            cur = prev = merged
+
         states += len(cur)
         if states > max_states:
             raise _ceiling(states, max_states)
@@ -316,9 +353,9 @@ def run_dp(
         return DpRun(value, None, stats)
 
     layers.append(prev)
-    steps = _walk(prep, sweep, layers, best_key, 1 << shift_s, value,
-                  lambda layer, key: layer.get(key, INFEASIBLE) <= value)
-    solution = _reconstruct(prep, norm, sweep, steps, value)
+    steps, moves = _walk(prep, sweep, layers, best_key, 1 << shift_s, value,
+                         lambda layer, key: layer.get(key, INFEASIBLE) <= value, ends)
+    solution = _reconstruct(prep, norm, sweep, steps, moves, value)
     return DpRun(value, solution, stats)
 
 
@@ -335,7 +372,9 @@ def _ceiling(states: int, max_states: int) -> StateCeilingExceeded:
     """The error once a run's stored states pass max_states.
 
     Both engines check before a layer is built (with the keys "c" keeps),
-    after its "b", "c" and "d" steps, and after its closes.
+    after its "b", "c" and "d" steps, and after its closes. A layer at a group
+    end (see _group_ends) may shrink after its closes, so only its final count
+    is checked: a run stops exactly when its stored states pass max_states.
     """
     return StateCeilingExceeded(f"sweep DP stored {states} states, ceiling is {max_states}")
 
@@ -385,7 +424,11 @@ def _close_rows(
 
 
 def _bitset_value(
-    prep: _Prep, sweep: tuple[int, ...], max_states: int, layers: Optional[list[int]]
+    prep: _Prep,
+    sweep: tuple[int, ...],
+    ends: dict[int, tuple[tuple[int, ...], ...]],
+    max_states: int,
+    layers: Optional[list[int]],
 ) -> tuple[Cost, int]:
     """The optimum and the stored-state count of a run, by bitsets.
 
@@ -398,7 +441,9 @@ def _bitset_value(
     are (B & J_j & M_l) >> (j + l_s), where B is the "b" result. ALIVE holds
     the closed keys and the open keys whose S has a leg with a later swept
     user; its complement grows by one shift when a leg's last swept user
-    passes.
+    passes. At a group end, legs a < b of a class swap by T = L & M_b & ~M_a,
+    L = (L ^ T) | (T >> (b_s - a_s)), and a bubble sort of such swaps moves
+    the class's legs in S to its lowest ones.
 
     A bitset holds no values. One unbounded pass takes "d" and the closes only
     at finite costs, as the dict DP stores finite values only, so it reaches
@@ -432,6 +477,10 @@ def _bitset_value(
     live = _live(prep, sweep, cap)
     r_minus = [prep.r_minus(u_pos) for u_pos in sweep]
     tables: list[list[tuple[int, list[tuple[Cost, int]]]]] = []
+    quotient = {}  # by group end: the (a_s, b_s) of its classes' swaps, in bubble sort order
+    for pos, listed in ends.items():
+        quotient[pos] = [(cap << c[k], cap << c[k + 1]) for c in listed
+                         for top in range(len(c) - 1) for k in range(len(c) - 2, top - 1, -1)]
 
     def sweep_at(bound: Cost, keep: Optional[list[int]] = None) -> tuple[int, int]:
         first = not tables
@@ -447,7 +496,7 @@ def _bitset_value(
                 alive = every ^ dead
             u_s = cap << (legs[u_pos] - 1)
             a = layer & leg_mask[u_s]
-            if first and states + 2 * count > max_states:
+            if first and states + 2 * count > max_states and u_pos not in quotient:
                 kept = states + count - a.bit_count()
                 if kept > max_states:
                     raise _ceiling(kept, max_states)
@@ -457,7 +506,7 @@ def _bitset_value(
                 cur |= (a >> u_s) & alive
             if first:
                 built = states + cur.bit_count()
-                if built > max_states:
+                if built > max_states and u_pos not in quotient:
                     raise _ceiling(built, max_states)
                 tables.append(
                     _close_rows(prep, u_pos, [j for j in range(1, cap) if b & j_mask[j]],
@@ -470,6 +519,12 @@ def _bitset_value(
                         if c > bound:
                             break
                         cur |= (b_j & leg_mask[l_s]) >> (j + l_s)
+            if u_pos in quotient:
+                for a_s, b_s in quotient[u_pos]:
+                    t = cur & leg_mask[b_s]
+                    t ^= t & leg_mask[a_s]
+                    if t:
+                        cur = (cur ^ t) | (t >> (b_s - a_s))
             layer = cur
             if keep is not None:
                 keep.append(layer)
@@ -570,7 +625,8 @@ def _walk(
     unit: int,
     bound: Cost,
     has: Callable[..., bool],
-) -> list[tuple[int, str, int, int, int]]:
+    ends: dict[int, tuple[tuple[int, ...], ...]],
+) -> tuple[list[tuple[int, str, int, int, int]], dict[int, list[int]]]:
     """The steps that reach key, S * unit + j, on the last layer, first to last.
 
     A step is (layer, tag, key, leg, p): the key it reaches there and a close's
@@ -579,41 +635,61 @@ def _walk(
     layers holds the initial layer and one per swept user: the dict DP's value
     layers, where has compares values, or the bitset layers of a search pass
     bounded at the optimum, where has tests membership.
+
+    A layer at a group end holds one key per orbit, so its step came to some
+    key of the orbit: the walk takes the first one that the layer below
+    reaches. Also returned, moves maps each layer where that key was not the
+    stored one to its sigma (see _orbit): the steps after that layer stand for
+    the same ranks on the legs that sigma moves theirs to.
     """
     steps: list[tuple[int, str, int, int, int]] = []
+    moves: dict[int, list[int]] = {}
     for i in range(len(layers) - 1, 0, -1):
-        u_pos = sweep[i - 1]
+        u_pos, below = sweep[i - 1], layers[i - 1]
         leg0 = prep.legs[u_pos] - 1
-        s, j = divmod(key, unit)
-        if not s >> leg0 & 1:  # "c" keeps the key, "d" retires u's leg from it
-            if has(layers[i - 1], key):
-                steps.append((i, "c", key, 0, 0))
+        for moved, sigma in _orbit(prep, ends[u_pos], key, unit) if u_pos in ends else ((key, None),):
+            s, j = divmod(moved, unit)
+            if not s >> leg0 & 1:  # "c" keeps the key, "d" retires u's leg from it
+                if has(below, moved):
+                    steps.append((i, "c", moved, 0, 0))
+                    key = moved
+                    break
+                # No close is made on u's own leg, so "d" is the only other way.
+                if prep.r_minus(u_pos) <= bound and has(below, moved + (unit << leg0)):
+                    steps.append((i, "d", moved, 0, 0))
+                    key = moved + (unit << leg0)
+                    break
                 continue
-            # No close is made on u's own leg, so "d" is the only other way.
-            steps.append((i, "d", key, 0, 0))
-            key += unit << leg0
-            assert has(layers[i - 1], key) and prep.r_minus(u_pos) <= bound, "no step reaches a key"
-            continue
-        if not j:  # a closed key that holds u's leg closed a grown ball
-            g_key, leg, p = _close_into(prep, layers[i], s, u_pos, unit, bound, has)
-            steps.append((i, "x", key, leg, p))
-            key = g_key
-        # Only "b" makes an open key that holds u's leg: the ball grew with u.
-        assert key % unit, "no step reaches a key"
-        steps.append((i, "b", key, 0, 0))
-        key -= 1
+            if not j:  # a closed key that holds u's leg closed a ball that grew with u
+                close = _close_into(prep, below, s, u_pos, unit, bound, has)
+                if close is None:
+                    continue
+                steps.append((i, "x", moved, close[1], close[2]))
+                moved = close[0]
+            # Only "b" makes an open key that holds u's leg: the ball grew with u.
+            elif not has(below, moved - 1):
+                continue
+            steps.append((i, "b", moved, 0, 0))
+            key = moved - 1
+            break
+        else:
+            raise AssertionError("no step reaches a key")
+        if sigma is not None:
+            moves[i] = sigma
     assert has(layers[0], key), "walk-back missed the initial state"
     steps.reverse()
-    return steps
+    return steps, moves
 
 
 def _close_into(
-    prep: _Prep, layer: object, s: int, u_pos: int, unit: int, bound: Cost, has: Callable[..., bool]
-) -> tuple[int, int, int]:
+    prep: _Prep, below: object, s: int, u_pos: int, unit: int, bound: Cost, has: Callable[..., bool]
+) -> Optional[tuple[int, int, int]]:
     """A close at cost at most bound on u_pos's layer into the closed key of S = s.
 
-    S holds u's leg. Returns the grown key (S + l, j) on the layer that the
-    close takes, l a leg outside S and 1 <= j <= 2r-2, with l and segment size p.
+    S holds u's leg. Returns the grown key (S + l, j) that the close takes, l
+    a leg outside S and 1 <= j <= 2r-2, with l and segment size p; below, the
+    layer before, holds the key (S + l, j - 1) that u grew it from. None if no
+    close does.
     """
     r, cap = prep.r, 2 * prep.r - 1
     for leg0 in range(prep.d_users):
@@ -622,14 +698,14 @@ def _close_into(
         costs = None
         for j in range(1, cap):
             g_key = (s | 1 << leg0) * unit + j
-            if not has(layer, g_key):
+            if not has(below, g_key - 1):
                 continue
             if costs is None:
                 costs = _close_costs(prep, u_pos, leg0)
             for p in range(max(r - j, 1), min(cap - j, len(costs)) + 1):
                 if costs[p - 1] <= bound:
                     return g_key, leg0 + 1, p
-    raise AssertionError("no close reaches a stored closed state")
+    return None
 
 
 def _reconstruct(
@@ -637,23 +713,37 @@ def _reconstruct(
     norm: Normalized,
     sweep: tuple[int, ...],
     steps: list[tuple[int, str, int, int, int]],
+    moves: dict[int, list[int]],
     value: Cost,
 ) -> Solution:
     # Replay the walked-back steps forward, materializing clusters as they
-    # complete...
+    # complete. A step takes users by their rank on a leg: u's own for "b" and
+    # "d", the first beyond u for "x"; after the layers in moves, on the leg
+    # that perm, the sigmas so far composed, maps the step's leg to...
     clusters: list[list[int]] = []
     ball: list[int] = []
+    perm: Optional[list[int]] = None
+    at = 0  # the layer of the step before
     for layer, tag, _, leg, p in steps:
+        if layer != at:
+            if at in moves:
+                perm = moves[at] if perm is None else [perm[leg0] for leg0 in moves[at]]
+            at = layer
+        u = sweep[layer - 1]
+        if tag == "c":
+            continue
+        if tag == "x":
+            start = bisect_right(prep.leg_members[leg - 1], u)
+        else:
+            start, leg = prep.rank_in_leg[u], prep.legs[u]
+        if perm is not None:
+            leg = perm[leg - 1] + 1
+        members = prep.leg_members[leg - 1]
         if tag == "b":
-            ball.append(sweep[layer - 1])
-        elif tag == "c":
-            pass
+            ball.append(members[start])
         elif tag == "d":
-            pos = sweep[layer - 1]
-            _emit_suffix(prep, prep.legs[pos], prep.rank_in_leg[pos], clusters)
+            _emit_suffix(prep, leg, start, clusters)
         else:  # "x"
-            members = prep.leg_members[leg - 1]
-            start = bisect_right(members, sweep[layer - 1])
             clusters.append(ball + members[start : start + p])
             ball = []
             _emit_suffix(prep, leg, start + p, clusters)
@@ -792,3 +882,82 @@ def enumerate_suffix_special(
 
     rec(0, (1 << prep.d_users) - 1, (), 0)
     return best
+
+
+# The quotient by identical legs: where both engines apply it (_group_ends), and
+# how a walk-back crosses it (_orbit).
+
+
+def _group_ends(prep: _Prep, sweep: tuple[int, ...]) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The layers that the DP quotients by identical legs, each with its classes.
+
+    Keyed by the position of the layer's swept user. A group end is a swept
+    user after which the next swept user lies farther out, or none is left.
+    There each layer keeps, for every listed class, only keys whose S holds
+    the class's lowest-numbered legs: a key whose S holds k legs of the class
+    becomes the key holding its k lowest legs instead, with the least value
+    of the keys that became it. The key's other legs and its j stay.
+
+    This is exact. The optimum is the least, over the keys of one layer, of
+    max(the key's value, the least cost of its completion from there on), so
+    keeping one key per orbit at the orbit's least value keeps the optimum
+    when every key of the orbit has the same least completion. Mapping each
+    user of one identical leg to the user of the same rank on another, and
+    back, maps the instance onto itself. At a group end the sweep has taken
+    exactly the users up to one coordinate, the same ranks on every leg of a
+    class, so the map turns a key's completions into completions of the
+    mapped key over the same unswept users, with the same costs, that only
+    order those users' ties by other leg numbers. The DP is exact for every
+    tie order, since the leg numbers that order ties are arbitrary, and a
+    completion is the DP of what the sweep has left: for a closed key, of the
+    key's legs beyond the group end. So both keys have the same least
+    completion; test_quotient_by_identical_legs_is_exact checks open keys
+    too against the brute-force oracles. Only group ends are safe: inside a
+    tie group the sweep orders users by leg and has taken the group's users on
+    lower-numbered legs but not those on higher ones, so swapping two legs of
+    a class swaps a swept user for an unswept one. A class is listed at a
+    group end when it has a user at or beyond the group's first user; no step
+    of the group changes which legs of any other class S holds.
+
+    A witness run walks back across a group end by finding a key of the
+    orbit that the layer below reaches (see _walk). run_dp calls it only when
+    some legs are identical; other runs take no quotient step.
+    """
+    ends: dict[int, tuple[tuple[int, ...], ...]] = {}
+    xs = prep.xs
+    last = [prep.leg_members[c[-1]][-1] for c in prep.classes]  # each class's last user
+    first = 0  # the sweep index that starts the group
+    for i, pos in enumerate(sweep):
+        if i + 1 < len(sweep) and xs[sweep[i + 1]] == xs[pos]:
+            continue
+        listed = tuple(c for c, end in zip(prep.classes, last) if end >= sweep[first])
+        if listed:
+            ends[pos] = listed
+        first = i + 1
+    return ends
+
+
+def _orbit(
+    prep: _Prep, classes: tuple[tuple[int, ...], ...], key: int, unit: int
+) -> Iterable[tuple[int, Optional[list[int]]]]:
+    """The keys that a group end's quotient turns into key, each with its sigma.
+
+    key's S holds the lowest k legs of each class, for some k; S may have held
+    any k legs of it. sigma maps each leg - 1 to the leg - 1 that it stands
+    for: the class's k lowest legs to the held ones in order, its other legs
+    to the rest. key itself comes first, with sigma None.
+    """
+    s = key // unit
+    picks = [itertools.combinations(c, sum(s >> leg0 & 1 for leg0 in c)) for c in classes]
+    for held in itertools.product(*picks):
+        moved, sigma = key, None
+        for c, legs0 in zip(classes, held):
+            low = c[: len(legs0)]
+            if legs0 == low:
+                continue
+            if sigma is None:
+                sigma = list(range(prep.d_users))
+            for leg0, to in zip(c, legs0 + tuple(other for other in c if other not in legs0)):
+                sigma[leg0] = to
+            moved += sum(unit << leg0 for leg0 in legs0) - sum(unit << leg0 for leg0 in low)
+        yield moved, sigma

@@ -47,6 +47,8 @@ def gen_arrears(
         raise MalformedInstanceError("generator sizes must be non-negative")
     if max_day < max(max_options, budgets) or max_amount < max_options:
         raise MalformedInstanceError("day and amount bounds too small for the sizes")
+    if budgets > duties * max_amount + 1:  # distinct limits in 0..duties * max_amount
+        raise MalformedInstanceError("more budgets than limits up to duties * max_amount")
     duty_list = []
     for _ in range(duties):
         count = rng.randint(1, max_options)

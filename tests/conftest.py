@@ -40,3 +40,30 @@ def spider_instances(
         )
     r = draw(st.integers(min_value=1, max_value=max_r))
     return SpiderInstance(d=d, users=users, facilities=facilities, r=r)
+
+
+@st.composite
+def repeated_leg_spiders(draw, *, max_users: int = 10, max_x: int = 20, max_r: int = 4):
+    """Spiders built from 1-3 classes of 1-4 identical legs, legs shuffled.
+
+    Every leg of a class holds users, and facilities, at the class's
+    coordinates. A spider without any facility gets one on leg 1, which may
+    split leg 1 off its class.
+    """
+    coords = st.lists(st.integers(min_value=0, max_value=max_x), min_size=1, max_size=3)
+    shapes = draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=4), coords, st.lists(
+            st.integers(min_value=0, max_value=max_x), max_size=2)),
+        min_size=1, max_size=3,
+    ).filter(lambda shapes: sum(m * len(xs) for m, xs, _ in shapes) <= max_users))
+    legs = [(xs, fs) for m, xs, fs in shapes for _ in range(m)]
+    order = draw(st.permutations(range(len(legs))))
+    users, facilities = [], []
+    for leg, at in enumerate(order, start=1):
+        xs, fs = legs[at]
+        users += [PointOnSpider(leg, x) for x in xs]
+        facilities += [PointOnSpider(leg, x) for x in fs]
+    if not facilities:
+        facilities.append(PointOnSpider(1, draw(st.integers(min_value=0, max_value=max_x))))
+    r = draw(st.integers(min_value=1, max_value=max_r))
+    return SpiderInstance(d=len(legs), users=tuple(users), facilities=tuple(facilities), r=r)

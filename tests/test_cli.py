@@ -465,3 +465,10 @@ def test_solve_flags_do_not_carry_over_between_calls(gathering_file, capsys):
     assert main(["solve", gathering_file]) == 0
     second = json.loads(capsys.readouterr().out)
     assert second["value"] == 2 and "facilities" not in second
+
+
+# Two budgets need two distinct limits, and with no duties the only limit is 0.
+def test_gen_arrears_with_too_many_budgets_exits_two(capsys):
+    assert main(["gen", "--kind", "arrears", "--duties", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more budgets than limits" in captured.err

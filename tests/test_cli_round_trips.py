@@ -1,4 +1,4 @@
-"""CLI round trips on the bitset engine, one main call per command.
+"""CLI round trips and size guards, one main call or one process per command.
 
 Each command reads the files the one before it wrote, as in a shell pipeline.
 """
@@ -6,11 +6,18 @@ Each command reads the files the one before it wrote, as in a shell pipeline.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spidergather import fpt_solver
-from spidergather.cli import main
+from spidergather import CLUSTERING, fpt_solver
+from spidergather.cli import main, spider_from_json
+from spidergather.model import normalize
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _run(capsys, argv, out_path=None):
@@ -89,3 +96,65 @@ def test_gathering_round_trip_with_edge_facility_layouts(
     assert engines == [True]
     code, out = _run(capsys, ["solve", str(spider), "--problem", "gathering", "--oracle"])
     assert code == 0 and str(json.loads(out)["value"]) == value
+
+
+def _process(argv, out_path=None, timeout=120):
+    """`python -m spidergather.cli argv` in its own process: (exit code, stdout)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "spidergather.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    if out_path is not None:
+        out_path.write_text(done.stdout, encoding="utf-8")
+    return done.returncode, done.stdout
+
+
+@pytest.fixture(scope="module")
+def blowup(tmp_path_factory):
+    """A spider with 22 user-bearing legs, no two of them identical."""
+    path = tmp_path_factory.mktemp("blowup") / "blowup.json"
+    code, _ = _process(["gen", "--kind", "spider", "--users", "30", "--legs", "30", "--seed", "0"], path)
+    assert code == 0
+    prep = fpt_solver._prepare(normalize(spider_from_json(json.loads(path.read_text()))).instance, CLUSTERING)
+    assert prep.d_users == 22 and not prep.classes
+    return path
+
+
+# The blow-up spider must hit the DP's state ceiling and exit 3 instead of
+# running out of memory or time.
+def test_solve_on_a_blow_up_instance_stops_at_the_state_ceiling(blowup):
+    code, out = _process(["solve", str(blowup)])
+    assert code == 3 and out == ""
+
+
+# Checking an "infeasible" claim is a value-only run. Its layers would be
+# 3 * 2^22 bits wide, past the bitset engine's 2^21, so it runs on the dict
+# DP and must hit the same ceiling.
+def test_check_of_an_infeasible_claim_on_a_blow_up_instance_stops_at_the_state_ceiling(
+    blowup, tmp_path
+):
+    claim = tmp_path / "infeasible.json"
+    claim.write_text('{"value": "infeasible", "clusters": []}\n', encoding="utf-8")
+    assert _process(["check", str(blowup), str(claim)])[0] == 3
+
+
+# The full pipeline on files, one process per command, so each command builds
+# the CLI parser once and runs once.
+def test_arrears_round_trip_to_a_checked_spider_solution(tmp_path):
+    arrears, spider, solution = (tmp_path / f"{name}.json" for name in ("arrears", "spider", "solution"))
+    assert _process(["gen", "--kind", "arrears", "--seed", "1"], arrears)[0] == 0
+    assert _process(["reduce", str(arrears), "--from", "arrears", "--to", "spider"], spider)[0] == 0
+    assert _process(["solve", str(spider)], solution)[0] == 0
+    assert _process(["check", str(spider), str(solution)])[0] == 0
+
+
+# r = n on 3 legs, which the engine rule sends to the dict DP: its close rows
+# cover only the grown balls' sizes and legs, so the run takes about a second
+# where a table over every (size, window) pair grows with r^2.
+def test_round_trip_with_r_equal_to_the_user_count(tmp_path):
+    spider, solution = tmp_path / "spider.json", tmp_path / "solution.json"
+    gen = ["gen", "--kind", "spider", "--users", "1500", "--legs", "3", "--r", "1500", "--seed", "0"]
+    assert _process(gen, spider)[0] == 0
+    assert _process(["solve", str(spider)], solution, timeout=15)[0] == 0
+    assert _process(["check", str(spider), str(solution)]) == (0, "200\n")

@@ -29,7 +29,7 @@ from spidergather.cost_oracle import FacilityIndex
 from spidergather.fpt_solver import StateCeilingExceeded, prune, run_dp
 from spidergather.generators import bench_instance
 from spidergather.model import SizeGuard, normalize
-from conftest import spider_instances
+from conftest import repeated_leg_spiders, spider_instances
 
 
 def _line(coords, r, d=1, leg=1):
@@ -216,10 +216,13 @@ def test_value_only_gathering_agrees_and_skips_the_witness(inst):
 # layer stores one entry per reachable (S, j) that can still close: no ball of
 # 2r-1 users, and no open ball whose S holds no leg with a later swept user.
 # So the final layer holds closed states only; it is read once for the
-# optimum and nothing else is stored.
+# optimum and nothing else is stored. At d=10, legs 1 and 5 each hold one user
+# at x=73, so every group end up to x=73 keeps one key for each two keys that
+# differ only in which of the two legs S holds: 1,464 states, against 2,019
+# without that quotient.
 @pytest.mark.parametrize(
     "d, users_per_leg, r, states",
-    [(8, 1, 2, 451), (10, 1, 2, 2019), (12, 1, 2, 8978), (4, 10, 3, 1040), (6, 10, 3, 6060)],
+    [(8, 1, 2, 451), (10, 1, 2, 1464), (12, 1, 2, 8978), (4, 10, 3, 1040), (6, 10, 3, 6060)],
 )
 @pytest.mark.parametrize("want_solution", [False, True])
 def test_bench_state_counts_are_pinned(d, users_per_leg, r, states, want_solution):
@@ -466,6 +469,111 @@ def test_bitset_witness_run_agrees_with_the_dict_dp(inst, kind, use_pruning):
     full = outcome(False, fpt_solver.DEFAULT_STATE_CEILING)
     for max_states in [fpt_solver.DEFAULT_STATE_CEILING, *range(full[1].states + 1)]:
         assert outcome(True, max_states) == outcome(False, max_states), max_states
+
+
+# Legs 1 and 3 hold users at 3 and 8 and a facility at 6, legs 2 and 4 users
+# at 3 and 5: two classes whose users tie at x=3, so that group end quotients
+# both classes after a group swept on all four legs.
+_TIED_CLASSES = _spider(
+    ((1, 3), (1, 8), (2, 3), (2, 5), (3, 3), (3, 8), (4, 3), (4, 5)),
+    r=2, facilities=((1, 6), (3, 6)),
+)
+# Legs 1 to 3 hold users at 1, 4 and 9, and leg 4 one at 2: inside the groups
+# at x=1, 4 and 9 the sweep has taken the class's users on some legs and not
+# yet on others, and each group end makes the keys symmetric again.
+_CLASS_AT_SEVERAL_COORDINATES = _spider(
+    ((1, 1), (1, 4), (1, 9), (2, 1), (2, 4), (2, 9), (3, 1), (3, 4), (3, 9), (4, 2)),
+    r=3, facilities=((4, 3),),
+)
+# Legs 1 and 2 hold users at 2 and 6, with a facility at 3 on leg 1 and at 5 on
+# leg 2: identical for clustering, two different legs for gathering.
+_EQUAL_USERS_OTHER_FACILITIES = _spider(
+    ((1, 2), (1, 6), (2, 2), (2, 6), (3, 4)), r=2, facilities=((1, 3), (2, 5)),
+)
+
+
+@pytest.mark.parametrize(
+    "inst, kind, classes",
+    [
+        (_TIED_CLASSES, CLUSTERING, ((0, 2), (1, 3))),
+        (_TIED_CLASSES, GATHERING, ((0, 2), (1, 3))),
+        (_CLASS_AT_SEVERAL_COORDINATES, GATHERING, ((0, 1, 2),)),
+        (_EQUAL_USERS_OTHER_FACILITIES, CLUSTERING, ((0, 1),)),
+        (_EQUAL_USERS_OTHER_FACILITIES, GATHERING, ()),
+    ],
+)
+def test_identical_legs_form_classes(inst, kind, classes):
+    assert fpt_solver._prepare(normalize(inst).instance, kind).classes == classes
+
+
+# The DP keeps one key for the keys that differ only in which legs of a class
+# of identical legs S holds. Its value equals the oracles' on spiders built
+# from such classes. Forced onto either engine, value-only or with a witness,
+# it stores the same states and gives the same message at every ceiling, and
+# each witness, whose steps after a group end may stand for other legs of a
+# class, validates at the value.
+@given(repeated_leg_spiders(), st.sampled_from([CLUSTERING, GATHERING]), st.booleans())
+@example(_TIED_CLASSES, CLUSTERING, True)
+@example(_TIED_CLASSES, GATHERING, False)
+@example(_CLASS_AT_SEVERAL_COORDINATES, CLUSTERING, True)
+@example(_CLASS_AT_SEVERAL_COORDINATES, GATHERING, False)
+@example(_EQUAL_USERS_OTHER_FACILITIES, GATHERING, True)
+def test_quotient_by_identical_legs_is_exact(inst, kind, use_pruning):
+    brute, validate = (
+        (brute_clustering, validate_clustering) if kind == CLUSTERING
+        else (brute_gathering, validate_gathering)
+    )
+    if len(inst.users) <= 8:
+        want = brute(inst)
+        want = INFEASIBLE if want is None else want.value
+    else:
+        want = enumerate_suffix_special(inst, kind)
+
+    def outcome(bitsets, want_solution, max_states):
+        with mock.patch.object(fpt_solver, "_bitsets_pay", return_value=bitsets):
+            try:
+                run = run_dp(inst, kind, use_pruning=use_pruning, want_solution=want_solution,
+                             max_states=max_states)
+            except StateCeilingExceeded as exc:
+                return str(exc)
+        if run.solution is not None:
+            assert validate(inst, run.solution) == run.value
+        return run.value, run.stats
+
+    full = outcome(False, True, fpt_solver.DEFAULT_STATE_CEILING)
+    assert full[0] == want
+    for max_states in [fpt_solver.DEFAULT_STATE_CEILING, *range(full[1].states + 1)]:
+        outcomes = {outcome(bitsets, w, max_states) for bitsets in (False, True) for w in (False, True)}
+        assert len(outcomes) == 1, (max_states, outcomes)
+
+
+# The walk-back may cross a group end through any key of the orbit that the
+# layer below reaches; it tries the canonical key first, which has sufficed on
+# every instance tried. With the orbit's order reversed it takes other keys,
+# and the steps after them stand for the same ranks on other legs of the
+# class. Legs 1, 2 and 4 hold a user at 9 and facilities at 10 and 11.
+@pytest.mark.parametrize("bitsets", [False, True], ids=["dict", "bitsets"])
+@pytest.mark.parametrize("kind", [CLUSTERING, GATHERING])
+def test_walk_back_through_another_key_of_the_orbit(monkeypatch, bitsets, kind):
+    inst = _spider(
+        ((1, 9), (2, 9), (3, 11), (4, 9)),
+        r=2, facilities=((1, 10), (1, 11), (2, 10), (2, 11), (3, 6), (4, 10), (4, 11)),
+    )
+    validate = validate_gathering if kind == GATHERING else validate_clustering
+    want = run_dp(inst, kind)
+    orbit, walk, moved = fpt_solver._orbit, fpt_solver._walk, []
+
+    def spy(*args):
+        steps, moves = walk(*args)
+        moved.extend(moves)
+        return steps, moves
+
+    monkeypatch.setattr(fpt_solver, "_orbit", lambda *args: list(orbit(*args))[::-1])
+    monkeypatch.setattr(fpt_solver, "_walk", spy)
+    monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: bitsets)
+    run = run_dp(inst, kind)
+    assert moved and run.value == want.value and run.stats == want.stats
+    assert validate(inst, run.solution) == run.value
 
 
 def _traced_witness_run(monkeypatch, inst, kind):
@@ -742,17 +850,17 @@ def test_walk_back_takes_every_step(monkeypatch, bitsets, kind, inst):
     seen = []
     walk = fpt_solver._walk
 
-    def spy(prep, sweep, layers, key, unit, bound, has):
+    def spy(prep, sweep, layers, key, unit, bound, has, ends):
         want_unit = 2 * prep.r - 1 if bitsets else 1 << (2 * prep.r).bit_length()
         assert unit == want_unit, "the walk is on the other engine"
-        steps = walk(prep, sweep, layers, key, unit, bound, has)
+        steps, moves = walk(prep, sweep, layers, key, unit, bound, has, ends)
         for layer, tag, key, leg, _ in steps:
             if tag == "d":
                 tag = "d-open" if key % unit else "d-closed"
             elif tag == "x":
                 tag = "x-own" if leg == prep.legs[sweep[layer - 1]] else "x-other"
             seen.append(tag)
-        return steps
+        return steps, moves
 
     monkeypatch.setattr(fpt_solver, "_walk", spy)
     monkeypatch.setattr(fpt_solver, "_bitsets_pay", lambda *args: bitsets)

@@ -24,9 +24,11 @@ from spidergather import (
     sat_to_arrears,
     satisfies_one_in_three,
     solve,
+    validate_clustering,
     verify_gadget,
 )
 from spidergather.fpt_solver import run_dp
+from spidergather.generators import gen_arrears
 
 RUNNING_EXAMPLE = ArrearsInstance(
     duties=(((1, 1), (2, 2)),),
@@ -285,3 +287,17 @@ def test_clustering_to_gathering_identity_random(data):
     else:
         assert lifted == base
         assert doubled == 2 * base
+
+
+# A reduced spider of 43 legs at r = 20 whose legs fall into a few classes of
+# identical one-user legs. Without the quotient by identical legs the sweep
+# stores more than the default ceiling of 1,000,000 states; with it, 152,241.
+# The verdict, optimum 17 above the threshold 16, matches brute_arrears.
+def test_reduced_spider_past_the_unquotiented_ceiling_solves():
+    arrears = normalize_arrears(gen_arrears(random.Random(13), duties=4, budgets=3, max_amount=5))
+    reduction = arrears_to_spider(arrears)
+    run = run_dp(reduction.instance, CLUSTERING)
+    assert run.stats.states == 152_241 and run.stats.legs == 43
+    assert (run.value, reduction.threshold) == (17, 16)
+    assert brute_arrears(arrears) is None
+    assert validate_clustering(reduction.instance, run.solution) == 17
